@@ -2,14 +2,22 @@
 
 A *table* is a single Python integer whose bit x is the entry for basis
 label x, 0 <= x < 2**n.  Vertex/qubit i (1-based) occupies bit i-1 of a
-label, so vertex subsets double as label masks.  All kernels are pure
-integer arithmetic and therefore exact.
+label, so vertex subsets double as label masks.  The transforms are pure
+integer arithmetic; conversion between a table and one byte per label
+(``unpack``/``pack``) goes through numpy's bit packing, which copies bits
+and is therefore exact as well.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable
+
+import numpy as np
+
+# Tables up to this many bits (every n-bit label mask) are scanned bit by bit;
+# longer ones are unpacked, which is linear in their length.
+_SCAN_BITS = 64
 
 
 def full_mask(n: int) -> int:
@@ -75,14 +83,40 @@ def parity_mask(z_mask: int, n: int) -> int:
     return mask
 
 
+def unpack(table: int, size: int) -> np.ndarray:
+    """Bits 0..size-1 of a table as a uint8 array of 0s and 1s, label order."""
+    raw = np.frombuffer(table.to_bytes(max(1, (size + 7) // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little")
+
+
+def pack(bits: np.ndarray | bytearray) -> int:
+    """The table whose bit x is set iff bits[x] is nonzero (inverse of unpack)."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def table_from_edges(masks: Iterable[int], n: int) -> int:
+    """Bit x = parity of the masks contained in x (duplicate masks count once).
+
+    The butterfly of the indicator of the given label masks, 0 <= mask < 2**n.
+    """
+    indicator = np.zeros(1 << n, dtype=np.uint8)
+    indicator[np.fromiter(masks, dtype=np.int64)] = 1
+    return butterfly(pack(indicator), n)
+
+
 @lru_cache(maxsize=None)
 def weight_mask(n: int, k: int) -> int:
     """Table mask of the labels with exactly k bits set."""
-    return sum(1 << x for x in range(1 << n) if x.bit_count() == k)
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        popcount = np.concatenate((popcount, popcount + 1))
+    return pack(popcount == k)
 
 
 def set_bits(table: int) -> list[int]:
     """Positions of the set bits, ascending."""
+    if table.bit_length() > _SCAN_BITS:
+        return np.flatnonzero(unpack(table, table.bit_length())).tolist()
     out = []
     while table:
         low = table & -table

@@ -130,10 +130,10 @@ def mobius_transform(tt: TruthTable) -> MonomialSet:
 
 def to_truth_table(ms: MonomialSet) -> TruthTable:
     """Evaluate a monomial set on every input at once (inverse of mobius_transform)."""
-    indicator = ms.constant
-    for m in ms.monomials:
-        indicator |= 1 << _bits.mask_from_vertices(m)
-    return TruthTable(ms.n, _bits.butterfly(indicator, ms.n))
+    masks = [_bits.mask_from_vertices(m) for m in ms.monomials]
+    if ms.constant:
+        masks.append(0)  # the empty monomial
+    return TruthTable(ms.n, _bits.table_from_edges(masks, ms.n))
 
 
 def evaluate_anf(ms: MonomialSet, x: int) -> int:

@@ -9,6 +9,7 @@ sits behind a single --seed flag (default 42).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+MAX_COUNT_DIGITS = 4300  # longest count printed in decimal
+
 
 def _read(path: str) -> str:
     if path == "-":
@@ -30,8 +33,13 @@ def _read(path: str) -> str:
 
 def _sniff(text: str) -> str:
     """Guess whether a text is a hypergraph file, a truth table or a state dump."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = []  # the first two non-blank lines are enough
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+            if len(lines) == 2:
+                break
     if not lines:
         raise FormatError("empty input")
     head = lines[0].split()
@@ -46,9 +54,12 @@ def _sniff(text: str) -> str:
 
 def _load_table(text: str) -> boolfn.TruthTable:
     """Accept the truth-table format or a sign-backend state dump."""
-    if _sniff(text) == "dump":
+    kind = _sniff(text)
+    if kind == "dump":
         state = statesim.load(text)
         return statesim.table_from_state(state)
+    if kind == "graph":
+        raise FormatError("got a hypergraph file where a truth table or a sign dump was expected")
     return boolfn.from_text(text)
 
 
@@ -134,7 +145,13 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    print(hypergraph.count_states(args.n, args.k))
+    exponent = hypergraph.count_exponent(args.n, args.k)
+    # 2**K has floor(K log10 2) + 1 decimal digits; past Python's default
+    # int-to-str limit print the power itself, without building 2**K.
+    if exponent * math.log10(2) < MAX_COUNT_DIGITS:
+        print(1 << exponent)
+    else:
+        print(f"2^{exponent}")
     return EXIT_OK
 
 

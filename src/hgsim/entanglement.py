@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _bits
 from .statesim import DEFAULT_SEED, StateVector, _signs_to_pm1
 
 MAX_QUBITS = 12
@@ -49,12 +48,21 @@ def reduced_density(s: StateVector, subsystem) -> np.ndarray:
         raise ValueError("subsystem must satisfy 1 <= |A| <= n-1")
     if not all(1 <= q <= s.n for q in qubits):
         raise ValueError(f"subsystem {qubits} out of range 1..{s.n}")
+    return _reduced_density(_entries(s), s, qubits)
+
+
+def _entries(s: StateVector) -> np.ndarray:
+    """The raw +-1 signs of a sign-backend state, else its amplitudes."""
+    return _signs_to_pm1(s.signs, s.n) if s.backend == "sign" else s.amps
+
+
+def _reduced_density(entries: np.ndarray, s: StateVector, qubits: list[int]) -> np.ndarray:
+    """reduced_density on the array from _entries(s), for sorted valid qubits."""
+    m = _subsystem_matrix(entries, s.n, qubits)
     if s.backend == "sign":
         # Gram matrix over raw +-1 entries, then one power-of-two division:
         # every entry is a dyadic rational, computed without rounding.
-        m = _subsystem_matrix(_signs_to_pm1(s.signs, s.n), s.n, qubits)
         return (m @ m.T) / s.dim
-    m = _subsystem_matrix(s.amps, s.n, qubits)
     return m @ m.conj().T
 
 
@@ -106,10 +114,11 @@ def genuine_multipartite_geometric(s: StateVector) -> BipartitionReport:
         raise ValueError("entanglement needs at least two qubits")
     if s.n > MAX_QUBITS:
         raise ValueError(f"bipartition sweep is capped at n={MAX_QUBITS}")
+    entries = _entries(s)
     cuts = []
     for mask in bipartition_masks(s.n):
-        rho = reduced_density(s, _bits.vertices_from_mask(mask))
-        cuts.append((mask, lambda_max(rho)))
+        qubits = [q for q in range(1, s.n + 1) if (mask >> (q - 1)) & 1]
+        cuts.append((mask, lambda_max(_reduced_density(entries, s, qubits))))
     return BipartitionReport(s.n, tuple(cuts))
 
 

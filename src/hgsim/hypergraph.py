@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from . import _bits
 from .errors import FormatError
@@ -59,8 +59,15 @@ class Hypergraph:
         return frozenset(_bits.vertices_from_mask(e) for e in self.edges)
 
     def sorted_edges(self) -> list[int]:
-        """Edges in canonical order: by size, then lexicographic vertex tuple."""
-        return sorted(self.edges, key=lambda e: (e.bit_count(), sorted(_bits.vertices_from_mask(e))))
+        """Edges in canonical order: by size, then lexicographic vertex tuple.
+
+        Among edges of one size, ascending vertex tuples are descending
+        bit-reversed masks (vertex v -> bit n - v), so the sort key is
+        size * 2**n - reversed mask; both terms are sums over the two halves.
+        """
+        n = self.n
+        key = _edge_view(n, lambda vs: (len(vs) << n) - sum(1 << (n - v) for v in vs))
+        return sorted(self.edges, key=key)
 
     def orders(self) -> frozenset[int]:
         return frozenset(e.bit_count() for e in self.edges)
@@ -93,15 +100,45 @@ class UniformityClass:
         return "mixed " + ",".join(str(k) for k in sorted(self.orders))
 
 
+class _HalfTable(dict):
+    """Per-call table from one half of an edge mask to fmt(its vertices).
+
+    Filled on first use, so it never holds more entries than there are
+    edges, even where 2**(n/2) is far larger.
+    """
+
+    def __init__(self, fmt: Callable[[list[int]], Any], first: int) -> None:
+        super().__init__()
+        self.fmt = fmt
+        self.first = first  # the vertex of the half's bit 0
+
+    def __missing__(self, half: int) -> Any:
+        vs = [self.first + i for i in range(half.bit_length()) if (half >> i) & 1]
+        value = self[half] = self.fmt(vs)
+        return value
+
+
+def _edge_view(n: int, fmt: Callable[[list[int]], Any]) -> Callable[[int], Any]:
+    """Edge mask -> fmt(ascending vertices), for a fmt that maps the
+    concatenation of two vertex lists to the sum (+) of their values.
+
+    The value is the sum of two table entries, keyed by the low and high
+    ceil(n/2)-bit halves of the mask.
+    """
+    split = (n + 1) // 2
+    low_mask = (1 << split) - 1
+    low, high = _HalfTable(fmt, 1), _HalfTable(fmt, split + 1)
+    return lambda e: low[e & low_mask] + high[e >> split]
+
+
 def parse(text: str) -> Hypergraph:
     """Parse the edge-list text format; malformed or duplicate input raises."""
     n = None
     edges: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         if fields[0] == "n":
             if n is not None:
                 raise FormatError(f"line {lineno}: repeated vertex-count line")
@@ -113,20 +150,24 @@ def parse(text: str) -> Hypergraph:
                 raise FormatError(f"line {lineno}: bad vertex count {fields[1]!r}") from None
             if not 1 <= n <= MAX_VERTICES:
                 raise FormatError(f"line {lineno}: vertex count {n} out of range")
+            vertex_bit = [0] + [1 << i for i in range(n)]  # vertex v -> bit v-1
         elif fields[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before vertex-count line")
             if len(fields) == 1:
                 raise FormatError(f"line {lineno}: empty edge")
             try:
-                vs = [int(f) for f in fields[1:]]
+                vs = list(map(int, fields[1:]))
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer vertex") from None
-            if any(a >= b for a, b in zip(vs, vs[1:])):
-                raise FormatError(f"line {lineno}: vertices must be strictly increasing")
-            if not all(1 <= v <= n for v in vs):
+            # Sorted vertices in 1..n are valid iff they do not repeat, that
+            # is iff their sum of powers of two has one bit per vertex.
+            sorted_in_range = vs == sorted(vs) and 1 <= vs[0] and vs[-1] <= n
+            mask = sum(map(vertex_bit.__getitem__, vs)) if sorted_in_range else 0
+            if mask.bit_count() != len(vs):
+                if any(a >= b for a, b in zip(vs, vs[1:])):
+                    raise FormatError(f"line {lineno}: vertices must be strictly increasing")
                 raise FormatError(f"line {lineno}: vertex out of range 1..{n}")
-            mask = _bits.mask_from_vertices(vs)
             if mask in edges:
                 raise FormatError(f"line {lineno}: duplicate edge {vs}")
             edges.add(mask)
@@ -138,9 +179,9 @@ def parse(text: str) -> Hypergraph:
 
 
 def serialize(h: Hypergraph) -> str:
+    text = _edge_view(h.n, lambda vs: "".join(f" {v}" for v in vs))
     lines = [f"n {h.n}"]
-    for e in h.sorted_edges():
-        lines.append("e " + " ".join(str(v) for v in sorted(_bits.vertices_from_mask(e))))
+    lines.extend("e" + text(e) for e in h.sorted_edges())
     return "\n".join(lines) + "\n"
 
 
@@ -167,15 +208,20 @@ def neighbourhood(h: Hypergraph, i: int) -> frozenset[frozenset[int]]:
     return frozenset(_bits.vertices_from_mask(e ^ bit) for e in h.edges if e & bit)
 
 
-def count_states(n: int, k: int | None = None) -> int:
-    """Exact number of hypergraph states: 2**C(n,k) for one order, 2**(2**n - 1) for all."""
+def count_exponent(n: int, k: int | None = None) -> int:
+    """Base-2 logarithm of count_states(n, k): C(n,k) for one order, 2**n - 1 for all."""
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
     if k is None:
-        return 1 << ((1 << n) - 1)
+        return (1 << n) - 1
     if not 1 <= k <= n:
         raise ValueError(f"edge order {k} out of range 1..{n}")
-    return 1 << comb(n, k)
+    return comb(n, k)
+
+
+def count_states(n: int, k: int | None = None) -> int:
+    """Exact number of hypergraph states: 2**C(n,k) for one order, 2**(2**n - 1) for all."""
+    return 1 << count_exponent(n, k)
 
 
 def to_dot(h: Hypergraph) -> str:
@@ -187,8 +233,9 @@ def to_dot(h: Hypergraph) -> str:
         deco = " [peripheries=2]" if v in singletons else ""
         out.append(f"  {v}{deco};")
     hub = 0
+    vertices = _edge_view(h.n, tuple)
     for e in h.sorted_edges():
-        vs = sorted(_bits.vertices_from_mask(e))
+        vs = vertices(e)
         if len(vs) == 1:
             continue
         if len(vs) == 2:

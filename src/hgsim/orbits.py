@@ -84,14 +84,10 @@ def local_pauli_orbit(s: StateVector) -> set[OrbitKey]:
 def _uniform_state_tables(n: int, k: int) -> list[int]:
     """Sign tables of every state with a nonempty k-uniform edge set."""
     k_edges = [_bits.mask_from_vertices(c) for c in combinations(range(1, n + 1), k)]
-    tables = []
-    for pick in range(1, 1 << len(k_edges)):
-        indicator = 0
-        for j, e in enumerate(k_edges):
-            if (pick >> j) & 1:
-                indicator |= 1 << e
-        tables.append(_bits.butterfly(indicator, n))
-    return tables
+    return [
+        _bits.table_from_edges((e for j, e in enumerate(k_edges) if (pick >> j) & 1), n)
+        for pick in range(1, 1 << len(k_edges))
+    ]
 
 
 @dataclass

@@ -39,6 +39,8 @@ ATOL_NORM = 1e-12  # squared-norm checks
 
 DEFAULT_SEED = 42
 
+_SIGN_MARKS = (" +", " -")  # dump text after the label, indexed by the sign bit
+
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -109,11 +111,7 @@ class StateVector:
 
 
 def _signs_to_pm1(signs: int, n: int) -> np.ndarray:
-    size = 1 << n
-    nbytes = max(1, size // 8)
-    raw = np.frombuffer(signs.to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[:size]
-    return 1.0 - 2.0 * bits.astype(np.float64)
+    return 1.0 - 2.0 * _bits.unpack(signs, 1 << n)
 
 
 def _signs_to_amps(signs: int, n: int) -> np.ndarray:
@@ -141,10 +139,7 @@ def build_state(h: Hypergraph) -> StateVector:
     """
     if h.n > MAX_QUBITS:
         raise ValueError(f"dense simulation is capped at n={MAX_QUBITS}")
-    indicator = 0
-    for e in h.edges:
-        indicator |= 1 << e
-    return StateVector(h.n, signs=_bits.butterfly(indicator, h.n))
+    return StateVector(h.n, signs=_bits.table_from_edges(h.edges, h.n))
 
 
 def apply_ckz(s: StateVector, vertices: Iterable[int]) -> StateVector:
@@ -210,10 +205,7 @@ class StabilizerOperator:
     @cached_property
     def diagonal_table(self) -> int:
         """Sign table of the phase-gate product (bit x set = factor -1 at x)."""
-        indicator = 0
-        for t in self.tuples:
-            indicator |= 1 << _bits.mask_from_vertices(t)
-        return _bits.butterfly(indicator, self.n)
+        return _bits.table_from_edges(map(_bits.mask_from_vertices, self.tuples), self.n)
 
     @cached_property
     def _diagonal_pm1(self) -> np.ndarray:
@@ -323,8 +315,8 @@ def dump(s: StateVector) -> str:
     """State dump: header `n <int> backend <sign|complex>`, one line per label."""
     lines = [f"n {s.n} backend {s.backend}"]
     if s.backend == "sign":
-        for x in range(s.dim):
-            lines.append(f"{x} {'-' if (s.signs >> x) & 1 else '+'}")
+        bits = _bits.unpack(s.signs, s.dim).tobytes()  # iterates as ints 0 and 1
+        lines.extend(f"{x}{_SIGN_MARKS[b]}" for x, b in enumerate(bits))
     else:
         for x in range(s.dim):
             lines.append(f"{x} {float(s.amps[x].real)!r} {float(s.amps[x].imag)!r}")
@@ -333,7 +325,7 @@ def dump(s: StateVector) -> str:
 
 def load(text: str) -> StateVector:
     """Parse a state dump produced by dump()."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise FormatError("empty state dump")
     head = lines[0].split()
@@ -350,14 +342,14 @@ def load(text: str) -> StateVector:
     if len(body) != 1 << n:
         raise FormatError(f"expected {1 << n} amplitude lines, got {len(body)}")
     if backend == "sign":
-        signs = 0
+        minus = bytearray(len(body))
         for expect, line in enumerate(body):
             fields = line.split()
             if len(fields) != 2 or fields[0] != str(expect) or fields[1] not in ("+", "-"):
                 raise FormatError(f"bad sign line {line!r}")
             if fields[1] == "-":
-                signs |= 1 << expect
-        return StateVector(n, signs=signs)
+                minus[expect] = 1
+        return StateVector(n, signs=_bits.pack(minus))
     amps = np.empty(1 << n, dtype=complex)
     for expect, line in enumerate(body):
         fields = line.split()

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
+from hgsim import _bits
 from hgsim.boolfn import TruthTable
 from hgsim.hypergraph import Hypergraph
 from hgsim.statesim import StateVector
@@ -145,3 +146,34 @@ def connected_two_uniform(n: int):
             parent[find(a)] = find(b)
         if len({find(v) for v in range(1, n + 1)}) == 1:
             yield Hypergraph.from_sets(n, edges)
+
+
+def loop_set_bits(table: int) -> list[int]:
+    """Set-bit positions by peeling the lowest set bit of a Python integer."""
+    out = []
+    while table:
+        low = table & -table
+        out.append(low.bit_length() - 1)
+        table ^= low
+    return out
+
+
+def loop_weight_mask(n: int, k: int) -> int:
+    """Weight-k label mask by summing one power of two per label."""
+    return sum(1 << x for x in range(1 << n) if x.bit_count() == k)
+
+
+def loop_table_from_edges(masks, n: int) -> int:
+    """Edge indicator OR-ed together bit by bit, then the butterfly."""
+    indicator = 0
+    for e in masks:
+        indicator |= 1 << e
+    return _bits.butterfly(indicator, n)
+
+
+def vertex_tuple_sorted(edges) -> list[int]:
+    """Edge masks sorted by size, then by their ascending vertex tuple."""
+    def vertices(e: int) -> list[int]:
+        return [i + 1 for i in range(e.bit_length()) if (e >> i) & 1]
+
+    return sorted(edges, key=lambda e: (e.bit_count(), vertices(e)))

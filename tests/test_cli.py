@@ -115,6 +115,25 @@ def test_count(capsys):
     assert code == 2 and err != ""
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["--n", "13"], f"{1 << 8191}\n"),  # 2467 digits: still printed in decimal
+        (["--n", "14"], "2^16383\n"),
+        (["--n", "64"], f"2^{(1 << 64) - 1}\n"),
+        (["--n", "64", "--k", "32"], "2^1832624140942590534\n"),
+    ],
+)
+def test_count_prints_a_power_past_the_decimal_limit(argv, out, capsys):
+    assert run_cli(["count", *argv], capsys) == (0, out, "")
+
+
+def test_extract_names_a_hypergraph_given_as_table(grover_graph, capsys):
+    code, out, err = run_cli(["extract", grover_graph], capsys)
+    assert code == 2 and out == ""
+    assert "hypergraph" in err and "truth table or a sign dump" in err
+
+
 def test_dot(grover_graph, capsys):
     code, out, _ = run_cli(["dot", grover_graph], capsys)
     assert code == 0
