@@ -17,8 +17,11 @@ are an error, not a silent toggle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Any, Callable, Iterable
+
+import numpy as np
 
 from . import _bits
 from .errors import FormatError
@@ -59,15 +62,13 @@ class Hypergraph:
         return frozenset(_bits.vertices_from_mask(e) for e in self.edges)
 
     def sorted_edges(self) -> list[int]:
-        """Edges in canonical order: by size, then lexicographic vertex tuple.
+        """Edges in canonical order: by size, then lexicographic vertex tuple."""
+        return sorted_masks(self.edges, self.n)
 
-        Among edges of one size, ascending vertex tuples are descending
-        bit-reversed masks (vertex v -> bit n - v), so the sort key is
-        size * 2**n - reversed mask; both terms are sums over the two halves.
-        """
-        n = self.n
-        key = _edge_view(n, lambda vs: (len(vs) << n) - sum(1 << (n - v) for v in vs))
-        return sorted(self.edges, key=key)
+    @cached_property
+    def _edge_array(self) -> np.ndarray:
+        """The edge masks as one uint64 array (every n <= 64 fits)."""
+        return np.fromiter(self.edges, dtype=np.uint64, count=len(self.edges))
 
     def orders(self) -> frozenset[int]:
         return frozenset(e.bit_count() for e in self.edges)
@@ -129,6 +130,17 @@ def _edge_view(n: int, fmt: Callable[[list[int]], Any]) -> Callable[[int], Any]:
     low_mask = (1 << split) - 1
     low, high = _HalfTable(fmt, 1), _HalfTable(fmt, split + 1)
     return lambda e: low[e & low_mask] + high[e >> split]
+
+
+def sorted_masks(masks: Iterable[int], n: int) -> list[int]:
+    """Label masks below 2**n by size, then lexicographic vertex tuple.
+
+    Among masks of one size, ascending vertex tuples are descending
+    bit-reversed masks (vertex v -> bit n - v), so the sort key is
+    size * 2**n - reversed mask; both terms are sums over the two halves.
+    """
+    key = _edge_view(n, lambda vs: (len(vs) << n) - sum(1 << (n - v) for v in vs))
+    return sorted(masks, key=key)
 
 
 def parse(text: str) -> Hypergraph:
@@ -200,12 +212,19 @@ def classify_uniformity(h: Hypergraph) -> UniformityClass:
     return UniformityClass("mixed", orders)
 
 
-def neighbourhood(h: Hypergraph, i: int) -> frozenset[frozenset[int]]:
-    """The tuples completing vertex i to a hyperedge; empty tuple for the edge {i}."""
+def neighbour_masks(h: Hypergraph, i: int) -> frozenset[int]:
+    """The tuples completing vertex i to a hyperedge, as label masks (0 for
+    the edge {i}): one vectorised selection over the edge array."""
     if not 1 <= i <= h.n:
         raise ValueError(f"vertex {i} out of range 1..{h.n}")
-    bit = 1 << (i - 1)
-    return frozenset(_bits.vertices_from_mask(e ^ bit) for e in h.edges if e & bit)
+    edges = h._edge_array
+    bit = np.uint64(1 << (i - 1))
+    return frozenset((edges[(edges & bit) != 0] ^ bit).tolist())
+
+
+def neighbourhood(h: Hypergraph, i: int) -> frozenset[frozenset[int]]:
+    """The tuples completing vertex i to a hyperedge; empty tuple for the edge {i}."""
+    return frozenset(map(_bits.vertices_from_mask, neighbour_masks(h, i)))
 
 
 def count_exponent(n: int, k: int | None = None) -> int:

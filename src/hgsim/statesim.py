@@ -14,15 +14,22 @@ silently.
 
 A correlation operator K_i is a bit flip on one vertex times a product of
 phase gates over that vertex's neighbourhood tuples (the empty tuple stands
-for the scalar -1).  The phase-gate product is itself a +-1 diagonal, so an
-operator application is one diagonal table plus one label permutation,
-O(2**n) regardless of how many tuples it carries.
+for the scalar -1).  The tuples are held as label masks; vertex sets are
+built only for ``tuples`` and the text rendering.  The phase-gate product is
+itself a +-1 diagonal, so an operator application is one diagonal table plus
+one label permutation, O(2**n) regardless of how many tuples it carries.
+
+Commutation is decided exactly on sign tables (``commutation_witness``
+names the first label where the two products differ).  The random-probe
+``commutator_residual`` is kept as an independent check, and the uniqueness
+certificate projects all its probes at once as one 2**n x probes matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable
 
 import numpy as np
@@ -30,7 +37,7 @@ import numpy as np
 from . import _bits
 from .boolfn import TruthTable
 from .errors import FormatError
-from .hypergraph import Hypergraph, edge_mask, neighbourhood
+from .hypergraph import Hypergraph, _edge_view, edge_mask, neighbour_masks, sorted_masks
 
 MAX_QUBITS = 20
 MAX_UNIQUENESS_QUBITS = 12
@@ -180,32 +187,63 @@ def apply_local_pauli(s: StateVector, i: int, p: str) -> StateVector:
     return StateVector(s.n, amps=amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StabilizerOperator:
     """X on one vertex times phase gates over its neighbourhood tuples.
 
-    The empty tuple contributes the scalar -1.  The whole phase-gate product
+    The tuples are kept as label masks (bit v-1 = vertex v); mask 0, the
+    empty tuple, contributes the scalar -1.  The whole phase-gate product
     collapses to a single +-1 diagonal (``diagonal_table``), so applying the
     operator costs one table XOR plus one label swap.
     """
 
     n: int
     i: int
-    tuples: frozenset[frozenset[int]]
+    masks: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.i <= self.n:
-            raise ValueError(f"vertex {self.i} out of range 1..{self.n}")
-        for t in self.tuples:
-            if self.i in t:
-                raise ValueError(f"tuple {sorted(t)} must not contain the flip vertex")
-            if not all(1 <= v <= self.n for v in t):
-                raise ValueError(f"tuple {sorted(t)} out of range 1..{self.n}")
+    def __init__(self, n: int, i: int, tuples: Iterable[Iterable[int]] = frozenset()) -> None:
+        """The operator of 1-based vertex tuples."""
+        masks = set()
+        for t in tuples:
+            vs = sorted(t)
+            if vs and vs[0] < 1:
+                raise ValueError(f"tuple {vs} out of range 1..{n}")
+            masks.add(_bits.mask_from_vertices(vs))
+        self._set(n, i, frozenset(masks))
+
+    @classmethod
+    def from_masks(cls, n: int, i: int, masks: Iterable[int]) -> "StabilizerOperator":
+        op = cls.__new__(cls)
+        op._set(n, i, frozenset(masks))
+        return op
+
+    def _set(self, n: int, i: int, masks: frozenset[int]) -> None:
+        if not 1 <= i <= n:
+            raise ValueError(f"vertex {i} out of range 1..{n}")
+        # Every mask is in 0..2**n - 1 and clear of the flip bit iff their OR
+        # is (a negative mask makes the OR negative).
+        union = reduce(or_, masks, 0)
+        if union & (1 << (i - 1)) or not 0 <= union < 1 << n:
+            for m in masks:
+                if not 0 <= m < 1 << n:
+                    raise ValueError(f"tuple mask {m:#x} out of range for n={n}")
+                if (m >> (i - 1)) & 1:
+                    raise ValueError(
+                        f"tuple {sorted(_bits.vertices_from_mask(m))} must not contain the flip vertex"
+                    )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "masks", masks)
+
+    @property
+    def tuples(self) -> frozenset[frozenset[int]]:
+        """The neighbourhood tuples as 1-based vertex sets."""
+        return frozenset(map(_bits.vertices_from_mask, self.masks))
 
     @cached_property
     def diagonal_table(self) -> int:
         """Sign table of the phase-gate product (bit x set = factor -1 at x)."""
-        return _bits.table_from_edges(map(_bits.mask_from_vertices, self.tuples), self.n)
+        return _bits.table_from_edges(self.masks, self.n)
 
     @cached_property
     def _diagonal_pm1(self) -> np.ndarray:
@@ -214,21 +252,26 @@ class StabilizerOperator:
         return arr
 
     def __str__(self) -> str:
+        text = _edge_view(self.n, lambda vs: "".join(f",{v}" for v in vs))
         parts = [f"X{self.i}"]
-        for t in sorted(self.tuples, key=lambda t: (len(t), sorted(t))):
-            parts.append(f"C{len(t)}Z({','.join(str(v) for v in sorted(t))})")
+        parts.extend(
+            f"C{m.bit_count()}Z({text(m)[1:]})" for m in sorted_masks(self.masks, self.n)
+        )
         return " ".join(parts)
 
 
 def stabilizer(h: Hypergraph, i: int) -> StabilizerOperator:
     """The correlation operator of vertex i for the given hypergraph."""
-    return StabilizerOperator(h.n, i, neighbourhood(h, i))
+    return StabilizerOperator.from_masks(h.n, i, neighbour_masks(h, i))
 
 
 def _apply_stabilizer_raw(amps: np.ndarray, op: StabilizerOperator) -> np.ndarray:
-    out = amps * op._diagonal_pm1
-    idx = np.arange(out.size)
-    return out[idx ^ (1 << (op.i - 1))]
+    """The operator applied to a vector, or to each column of a 2**n x P matrix."""
+    # Label bit i-1 is axis 1 of this shape, so reversing that axis flips it.
+    shape = (1 << (op.n - op.i), 2, 1 << (op.i - 1))
+    flipped = amps.reshape(shape + amps.shape[1:])[:, ::-1]
+    signs = op._diagonal_pm1.reshape(shape + (1,) * (amps.ndim - 1))[:, ::-1]
+    return (flipped * signs).reshape(amps.shape)
 
 
 def apply_stabilizer(s: StateVector, op: StabilizerOperator) -> StateVector:
@@ -249,6 +292,31 @@ def verify_stabilized(h: Hypergraph) -> bool:
     return all(
         apply_stabilizer(s, stabilizer(h, i)).signs == s.signs for i in range(1, h.n + 1)
     )
+
+
+def commutation_witness(op_a: StabilizerOperator, op_b: StabilizerOperator) -> int | None:
+    """The lowest label at which K_a K_b and K_b K_a differ, or None if they commute.
+
+    Exact, on sign tables.  K with flip bit f and diagonal D maps a sign
+    table S to P(S ^ D, f), P = xor_permute, so both products permute labels
+    by x -> x ^ a ^ b and their output signs differ exactly on
+    P(D_a, a) ^ P(D_b, b) ^ P(D_a ^ D_b, a ^ b).
+    """
+    if op_a.n != op_b.n:
+        raise ValueError(f"dimension mismatch: operator n={op_a.n} vs n={op_b.n}")
+    n, da, db = op_a.n, op_a.diagonal_table, op_b.diagonal_table
+    a, b = 1 << (op_a.i - 1), 1 << (op_b.i - 1)
+    diff = (
+        _bits.xor_permute(da, a, n)
+        ^ _bits.xor_permute(db, b, n)
+        ^ _bits.xor_permute(da ^ db, a ^ b, n)
+    )
+    return (diff & -diff).bit_length() - 1 if diff else None
+
+
+def commutes(op_a: StabilizerOperator, op_b: StabilizerOperator) -> bool:
+    """Exact commutation test on sign tables."""
+    return commutation_witness(op_a, op_b) is None
 
 
 def commutator_residual(
@@ -273,26 +341,54 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, amps=v / np.linalg.norm(v))
 
 
-def uniqueness_check(h: Hypergraph, probes: int = 20, seed: int = DEFAULT_SEED) -> bool:
+def uniqueness_check(
+    h: Hypergraph,
+    probes: int = 20,
+    seed: int = DEFAULT_SEED,
+    *,
+    state: StateVector | None = None,
+    ops: list[StabilizerOperator] | None = None,
+) -> bool:
     """Certify that the joint +1 eigenspace of the correlation operators is
     one-dimensional: random probes projected through all (I + K_i)/2 must
-    land parallel to the built state."""
+    land parallel to the built state.
+
+    ``state`` and ``ops`` default to build_state(h) and the stabilizers of
+    every vertex; pass them to reuse ones already built.
+    """
+    return bool(_probe_verdicts(h, probes, seed, state, ops).all())
+
+
+def _probe_verdicts(
+    h: Hypergraph,
+    probes: int,
+    seed: int,
+    state: StateVector | None,
+    ops: list[StabilizerOperator] | None,
+) -> np.ndarray:
+    """Per probe: True iff its projection vanishes or is parallel to the state.
+
+    All probes are projected at once, as the columns of one 2**n x probes
+    matrix; they are drawn from the seeded generator one after another.
+    """
     if h.n > MAX_UNIQUENESS_QUBITS:
         raise ValueError(f"uniqueness check is capped at n={MAX_UNIQUENESS_QUBITS}")
     rng = np.random.default_rng(seed)
-    target = build_state(h).dense_array()
-    ops = [stabilizer(h, i) for i in range(1, h.n + 1)]
-    for _ in range(probes):
-        v = random_state(h.n, rng).dense_array()
-        for op in ops:
-            v = (v + _apply_stabilizer_raw(v, op)) / 2.0
-        norm = np.linalg.norm(v)
-        if norm <= ATOL_NORM:
-            continue
-        overlap = np.vdot(target, v)
-        if np.linalg.norm(v - overlap * target) > ATOL_EQUAL * norm:
-            return False
-    return True
+    target = (state if state is not None else build_state(h)).dense_array()
+    if ops is None:
+        ops = [stabilizer(h, i) for i in range(1, h.n + 1)]
+    v = np.empty((1 << h.n, probes), dtype=complex)
+    for j in range(probes):
+        v[:, j] = random_state(h.n, rng).amps
+    for op in ops:  # v <- (v + K v) / 2, written into the fresh array K v
+        projected = _apply_stabilizer_raw(v, op)
+        projected += v
+        projected *= 0.5
+        v = projected
+    norms = np.linalg.norm(v, axis=0)
+    overlaps = target.conj() @ v
+    residuals = np.linalg.norm(v - target[:, None] * overlaps, axis=0)
+    return (norms <= ATOL_NORM) | (residuals <= ATOL_EQUAL * norms)
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:

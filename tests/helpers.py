@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from hgsim import _bits
+from hgsim import _bits, statesim
 from hgsim.boolfn import TruthTable
 from hgsim.hypergraph import Hypergraph
 from hgsim.statesim import StateVector
@@ -177,3 +177,43 @@ def vertex_tuple_sorted(edges) -> list[int]:
         return [i + 1 for i in range(e.bit_length()) if (e >> i) & 1]
 
     return sorted(edges, key=lambda e: (e.bit_count(), vertices(e)))
+
+
+def operator_diagonal(op) -> np.ndarray:
+    """(-1)**(number of the operator's tuple masks contained in x), per label x."""
+    labels = np.arange(1 << op.n)
+    covered = sum(((labels & m) == m).astype(int) for m in op.masks)
+    return 1.0 - 2.0 * (np.asarray(covered) & 1)
+
+
+def stabilizer_matrix(op) -> np.ndarray:
+    """Full matrix of a correlation operator: column y holds the diagonal
+    entry of y at row y XOR flip."""
+    labels = np.arange(1 << op.n)
+    m = np.zeros((1 << op.n, 1 << op.n))
+    m[labels ^ (1 << (op.i - 1)), labels] = operator_diagonal(op)
+    return m
+
+
+def loop_uniqueness_verdicts(h, probes: int = 20, seed: int = 42, ops=None) -> list[bool]:
+    """The per-probe uniqueness test one probe at a time: project through
+    every (I + K)/2 with an explicit label permutation, then require a
+    vanishing or target-parallel result."""
+    rng = np.random.default_rng(seed)
+    target = statesim.build_state(h).dense_array()
+    if ops is None:
+        ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
+    idx = np.arange(1 << h.n)
+    diagonals = [operator_diagonal(op) for op in ops]
+    verdicts = []
+    for _ in range(probes):
+        v = statesim.random_state(h.n, rng).dense_array()
+        for op, d in zip(ops, diagonals):
+            v = (v + (v * d)[idx ^ (1 << (op.i - 1))]) / 2.0
+        norm = np.linalg.norm(v)
+        if norm <= statesim.ATOL_NORM:
+            verdicts.append(True)
+            continue
+        overlap = np.vdot(target, v)
+        verdicts.append(bool(np.linalg.norm(v - overlap * target) <= statesim.ATOL_EQUAL * norm))
+    return verdicts

@@ -1,9 +1,11 @@
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hgsim import cli
+from hgsim import cli, statesim
 
 GROVER3 = "n 3\ne 1 2 3\n"
 MIXED3_TABLE = "n 3\nEA\n"
@@ -191,3 +193,43 @@ def test_selftest_output_is_byte_identical_across_runs():
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+N13_GRAPH = (
+    "n 13\ne 7\ne 1 13\ne 2 3 4\ne 3 9\ne 5 6 7 8 9\ne 10 11 12 13\n"
+    "e 1 2 3 4 5 6 7 8 9 10 11 12 13\n"
+)
+
+
+@pytest.mark.parametrize(
+    "graph, golden",
+    [
+        (cli.SEVEN_VERTEX, "verify_seven_vertex.txt"),
+        (N13_GRAPH, "verify_n13.txt"),  # above the uniqueness cap: "uniqueness skip"
+    ],
+)
+def test_verify_output_is_golden(graph, golden, tmp_path, capsys):
+    path = tmp_path / "g.gr"
+    path.write_text(graph)
+    assert run_cli(["verify", str(path)], capsys) == (0, (GOLDEN / golden).read_text(), "")
+
+
+def test_verify_names_the_label_of_a_failing_commutator(grover_graph, monkeypatch, capsys):
+    # swap in an operator of another graph: X2 Z1 does not commute with X1 C2Z(2,3)
+    real = statesim.stabilizer
+    wrong = statesim.StabilizerOperator(3, 2, frozenset({frozenset({1})}))
+    monkeypatch.setattr(statesim, "stabilizer", lambda h, i: wrong if i == 2 else real(h, i))
+    code, out, err = run_cli(["verify", grover_graph, "--seed", "9"], capsys)
+    assert code == 1
+    h = cli.hypergraph.parse(GROVER3)
+    first = real(h, 1)
+    label = statesim.commutation_witness(first, wrong)
+    assert label is not None
+    assert err.splitlines()[0] == f"commutator 1 2: K1K2 and K2K1 differ at label {label}"
+    assert len(err.splitlines()) == 2  # the pair 2 3 fails too
+    rng = np.random.default_rng(9)
+    probes = [statesim.random_state(3, rng) for _ in range(10)]
+    worst = max(statesim.commutator_residual(first, wrong, p) for p in probes)
+    assert f"commutator 1 2 residual {worst:.12g}" in out.splitlines()
+    assert "commutator 1 3 residual 0" in out.splitlines()

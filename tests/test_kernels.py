@@ -162,3 +162,13 @@ def test_bipartition_sweep_equals_reduced_density_per_cut(case):
     for mask, lam in report.cuts:
         rho = entanglement.reduced_density(s, _bits.vertices_from_mask(mask))
         assert lam == entanglement.lambda_max(rho)
+
+
+@PROPERTY
+@given(hypergraphs(max_n=hypergraph.MAX_VERTICES), st.data())
+def test_neighbour_masks_match_a_scan_of_the_edges(h, data):
+    i = data.draw(st.integers(1, h.n))
+    bit = 1 << (i - 1)
+    want = {e ^ bit for e in h.edges if e & bit}
+    assert hypergraph.neighbour_masks(h, i) == want
+    assert statesim.stabilizer(h, i).masks == want

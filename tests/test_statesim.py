@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import invariant_suite
@@ -279,3 +281,144 @@ def test_build_rejects_oversized_graph():
 
 def test_invariant_suite():
     invariant_suite.check_statesim(42, graphs=60)
+
+
+# ------------------------------------------------ exact commutation, masks
+
+SMALL_N = 6
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def operators(draw, n, max_tuples=12):
+    """A correlation operator on n qubits with random tuple masks (mask 0,
+    the scalar -1, included), not necessarily from any one hypergraph."""
+    i = draw(st.integers(1, n))
+    bit = 1 << (i - 1)
+    masks = draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=max_tuples))
+    return StabilizerOperator.from_masks(n, i, {m & ~bit for m in masks})
+
+
+@st.composite
+def operator_pairs(draw):
+    """(op_a, op_b): independent pairs, pairs on one flip vertex, identical pairs."""
+    n = draw(st.integers(1, SMALL_N))
+    op_a = draw(operators(n))
+    kind = draw(st.sampled_from(["any", "same vertex", "same operator"]))
+    if kind == "same operator":
+        return op_a, op_a
+    op_b = draw(operators(n))
+    if kind == "same vertex":
+        bit = 1 << (op_a.i - 1)
+        op_b = StabilizerOperator.from_masks(n, op_a.i, {m & ~bit for m in op_b.masks})
+    return op_a, op_b
+
+
+@PROPERTY
+@given(operator_pairs(), st.integers(0, 2**32 - 1))
+def test_exact_commutation_agrees_with_probe_residual(pair, seed):
+    op_a, op_b = pair
+    probe = statesim.random_state(op_a.n, np.random.default_rng(seed))
+    residual = statesim.commutator_residual(op_a, op_b, probe)
+    witness = statesim.commutation_witness(op_a, op_b)
+    assert (witness is None) == (residual == 0.0)
+    assert statesim.commutes(op_a, op_b) == (witness is None)
+
+
+@PROPERTY
+@given(operator_pairs())
+def test_commutation_witness_is_the_first_label_where_products_differ(pair):
+    op_a, op_b = pair
+    ka, kb = helpers.stabilizer_matrix(op_a), helpers.stabilizer_matrix(op_b)
+    differ = np.flatnonzero(np.any(ka @ kb != kb @ ka, axis=1))
+    witness = statesim.commutation_witness(op_a, op_b)
+    if differ.size == 0:
+        assert witness is None
+    else:
+        assert witness == differ[0]
+
+
+def test_commutation_witness_rejects_mixed_sizes():
+    with pytest.raises(ValueError):
+        statesim.commutation_witness(
+            StabilizerOperator(2, 1, frozenset()), StabilizerOperator(3, 1, frozenset())
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, hypergraph.MAX_VERTICES).flatmap(lambda n: operators(n, max_tuples=40)))
+def test_operator_text_and_tuples_are_the_vertex_tuple_renderings(op):
+    def vertices(m):
+        return [v for v in range(1, op.n + 1) if (m >> (v - 1)) & 1]
+
+    want = [f"X{op.i}"] + [
+        f"C{m.bit_count()}Z({','.join(map(str, vertices(m)))})"
+        for m in helpers.vertex_tuple_sorted(op.masks)
+    ]
+    assert str(op) == " ".join(want)
+    assert op.tuples == frozenset(frozenset(vertices(m)) for m in op.masks)
+    assert StabilizerOperator(op.n, op.i, op.tuples) == op
+
+
+def test_operator_rejects_masks_out_of_range():
+    with pytest.raises(ValueError):
+        StabilizerOperator.from_masks(3, 1, {0b1000})
+    with pytest.raises(ValueError):
+        StabilizerOperator.from_masks(3, 1, {-2})
+    with pytest.raises(ValueError):
+        StabilizerOperator(3, 1, frozenset({frozenset({0, 2})}))
+    with pytest.raises(ValueError):
+        StabilizerOperator(3, 1, frozenset({frozenset({2, 4})}))
+
+
+def test_stabilizer_masks_are_the_neighbourhood():
+    op = statesim.stabilizer(SEVEN, 4)
+    assert op.masks == hypergraph.neighbour_masks(SEVEN, 4) == {0b1, 0b10110, 0b1110111}
+    assert op.tuples == hypergraph.neighbourhood(SEVEN, 4)
+
+
+# ------------------------------------------------------ batched uniqueness
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)
+)))
+def test_batched_uniqueness_matches_the_per_probe_loop(case):
+    n, dropped, graph_seed, probe_seed = case  # dropped: vertex left out, 0 for none
+    h = helpers.random_hypergraph(n, np.random.default_rng(graph_seed))
+    ops = [statesim.stabilizer(h, i) for i in range(1, n + 1) if i != dropped]
+    batched = statesim._probe_verdicts(h, 20, probe_seed, None, ops)
+    assert batched.tolist() == helpers.loop_uniqueness_verdicts(h, 20, probe_seed, ops)
+    assert statesim.uniqueness_check(h, seed=probe_seed, ops=ops) == all(batched)
+    assert all(batched) == (dropped == 0)
+
+
+@pytest.mark.parametrize("graph", [TRIANGLE, FIG4, SEVEN])
+def test_uniqueness_fails_with_one_operator_dropped(graph):
+    ops = [statesim.stabilizer(graph, i) for i in range(1, graph.n + 1)]
+    kept = ops[:-1]
+    # the joint +1 space of the remaining operators is two-dimensional
+    projector = np.eye(1 << graph.n)
+    for op in kept:
+        projector = projector @ (np.eye(1 << graph.n) + helpers.stabilizer_matrix(op)) / 2
+    assert np.linalg.matrix_rank(projector) == 2
+    assert not statesim.uniqueness_check(graph, ops=kept)
+    assert not all(helpers.loop_uniqueness_verdicts(graph, ops=kept))
+    assert statesim.uniqueness_check(graph, ops=ops)
+
+
+def test_uniqueness_reuses_given_state_and_operators():
+    state = statesim.build_state(SEVEN)
+    ops = [statesim.stabilizer(SEVEN, i) for i in range(1, 8)]
+    assert statesim.uniqueness_check(SEVEN, seed=5, state=state, ops=ops)
+    assert statesim.uniqueness_check(SEVEN, probes=0)
+
+
+def test_apply_stabilizer_raw_acts_on_each_column():
+    rng = np.random.default_rng(8)
+    op = statesim.stabilizer(SEVEN, 3)
+    v = rng.standard_normal((128, 5)) + 1j * rng.standard_normal((128, 5))
+    batched = statesim._apply_stabilizer_raw(v, op)
+    for j in range(5):
+        assert np.array_equal(batched[:, j], helpers.stabilizer_matrix(op) @ v[:, j])
