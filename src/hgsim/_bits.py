@@ -6,18 +6,22 @@ label, so vertex subsets double as label masks.  The transforms are pure
 integer arithmetic; conversion between a table and one byte per label
 (``unpack``/``pack``) goes through numpy's bit packing, which copies bits
 and is therefore exact as well.
+
+One kernel per job: edges -> table is ``table_from_edges`` (a C^kZ gate, a
+local Z and a Z word, ``parity_mask``, are tables of one or more edges);
+table -> set labels is ``set_bits``; label mask -> bits or vertices is
+``mask_bits``; the labels of weight k (k-uniform edge slots, bipartition
+sides) are ``set_bits(weight_mask(n, k))``; a set of masks is range-checked
+by ``first_bad_mask``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Collection, Iterable
 
 import numpy as np
-
-# Tables up to this many bits (every n-bit label mask) are scanned bit by bit;
-# longer ones are unpacked, which is linear in their length.
-_SCAN_BITS = 64
 
 
 def full_mask(n: int) -> int:
@@ -38,12 +42,6 @@ def axis_clear_mask(i: int, n: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
-def axis_set_mask(i: int, n: int) -> int:
-    """Table mask of the labels whose bit i is 1."""
-    return axis_clear_mask(i, n) << (1 << i)
-
-
 def butterfly(table: int, n: int) -> int:
     """Self-inverse subset-XOR transform: output bit x = XOR of input over y <= x bitwise.
 
@@ -53,15 +51,6 @@ def butterfly(table: int, n: int) -> int:
     for i in range(n):
         table ^= (table & axis_clear_mask(i, n)) << (1 << i)
     return table
-
-
-def superset_mask(label: int, n: int) -> int:
-    """Table mask of the labels x with label's bits all set in x."""
-    mask = 1 << label
-    for i in range(n):
-        if not (label >> i) & 1:
-            mask |= mask << (1 << i)
-    return mask
 
 
 def xor_permute(table: int, flip: int, n: int) -> int:
@@ -75,12 +64,9 @@ def xor_permute(table: int, flip: int, n: int) -> int:
 
 
 def parity_mask(z_mask: int, n: int) -> int:
-    """Table mask of the labels x with odd popcount of (x AND z_mask)."""
-    mask = 0
-    for i in range(n):
-        if (z_mask >> i) & 1:
-            mask ^= axis_set_mask(i, n)
-    return mask
+    """Table mask of the labels x with odd popcount of (x AND z_mask): the
+    table of z_mask's one-vertex edges."""
+    return table_from_edges([1 << i for i in mask_bits(z_mask)], n)
 
 
 def unpack(table: int, size: int) -> np.ndarray:
@@ -114,15 +100,22 @@ def weight_mask(n: int, k: int) -> int:
 
 
 def set_bits(table: int) -> list[int]:
-    """Positions of the set bits, ascending."""
-    if table.bit_length() > _SCAN_BITS:
-        return np.flatnonzero(unpack(table, table.bit_length())).tolist()
-    out = []
-    while table:
-        low = table & -table
-        out.append(low.bit_length() - 1)
-        table ^= low
-    return out
+    """Positions of the set bits of a table, ascending."""
+    return np.flatnonzero(unpack(table, table.bit_length())).tolist()
+
+
+def mask_bits(mask: int, first: int = 0) -> list[int]:
+    """first + i for each set bit i of a label mask, ascending (first=1: vertices)."""
+    return [first + i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def first_bad_mask(masks: Collection[int], allowed: int, empty_ok: bool = True) -> int | None:
+    """The first mask with a bit outside ``allowed`` (as any negative mask
+    has), or 0 unless ``empty_ok``; None if there is none.  One OR over all
+    masks decides; the loop runs only to name the first culprit."""
+    if not reduce(or_, masks, 0) & ~allowed and (empty_ok or 0 not in masks):
+        return None
+    return next(m for m in masks if m & ~allowed or (m == 0 and not empty_ok))
 
 
 def mask_from_vertices(vertices: Iterable[int]) -> int:
@@ -135,4 +128,4 @@ def mask_from_vertices(vertices: Iterable[int]) -> int:
 
 def vertices_from_mask(mask: int) -> frozenset[int]:
     """1-based vertex set of a label mask."""
-    return frozenset(i + 1 for i in set_bits(mask))
+    return frozenset(mask_bits(mask, 1))

@@ -44,27 +44,38 @@ def _sniff(text: str) -> str:
         raise FormatError("empty input")
     head = lines[0].split()
     if head[:1] == ["n"] and "backend" in head:
-        return "dump"
+        return "state dump"
     if head[:1] != ["n"]:
         raise FormatError(f"unrecognized first line {lines[0]!r}")
     if len(lines) == 1 or lines[1].split()[0] == "e":
-        return "graph"
-    return "table"
+        return "hypergraph file"
+    return "truth table"
+
+
+def _load_graph(text: str) -> hypergraph.Hypergraph:
+    """Accept the hypergraph format only; a state dump or a truth table is named."""
+    try:
+        kind = _sniff(text)
+    except FormatError:
+        kind = "hypergraph file"  # unrecognizable: the parser names the fault
+    if kind != "hypergraph file":
+        raise FormatError(f"got a {kind} where a hypergraph file was expected")
+    return hypergraph.parse(text)
 
 
 def _load_table(text: str) -> boolfn.TruthTable:
     """Accept the truth-table format or a sign-backend state dump."""
     kind = _sniff(text)
-    if kind == "dump":
+    if kind == "state dump":
         state = statesim.load(text)
         return statesim.table_from_state(state)
-    if kind == "graph":
+    if kind == "hypergraph file":
         raise FormatError("got a hypergraph file where a truth table or a sign dump was expected")
     return boolfn.from_text(text)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    h = hypergraph.parse(_read(args.graph))
+    h = _load_graph(_read(args.graph))
     sys.stdout.write(statesim.dump(statesim.build_state(h)))
     return EXIT_OK
 
@@ -85,7 +96,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    h = hypergraph.parse(_read(args.graph))
+    h = _load_graph(_read(args.graph))
     state = statesim.build_state(h)
     ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
     ok = True
@@ -130,14 +141,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.graph is None:
         print("classify: need a graph file or --table", file=sys.stderr)
         return EXIT_USAGE
-    print(str(hypergraph.classify_uniformity(hypergraph.parse(_read(args.graph)))))
+    print(str(hypergraph.classify_uniformity(_load_graph(_read(args.graph)))))
     return EXIT_OK
 
 
 def cmd_entangle(args: argparse.Namespace) -> int:
     text = _read(args.input)
     kind = _sniff(text)
-    if kind == "graph":
+    if kind == "hypergraph file":
         state = statesim.build_state(hypergraph.parse(text))
     else:
         state = statesim.rew_state(_load_table(text))
@@ -164,7 +175,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    sys.stdout.write(hypergraph.to_dot(hypergraph.parse(_read(args.graph))))
+    sys.stdout.write(hypergraph.to_dot(_load_graph(_read(args.graph))))
     return EXIT_OK
 
 
@@ -230,7 +241,7 @@ def _selftest_items(seed: int):
             # bit j of a choice picks the edge mask j + 1
             seen = {
                 statesim.build_state(
-                    hypergraph.Hypergraph(n, frozenset(m + 1 for m in _bits.set_bits(pick)))
+                    hypergraph.Hypergraph(n, frozenset(_bits.mask_bits(pick, 1)))
                 ).signs
                 for pick in range(1 << ((1 << n) - 1))
             }
@@ -301,7 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entangle)
 
     p = sub.add_parser("orbit", parents=[common], help="local-Pauli class inequivalence")
-    p.add_argument("--n", type=int, choices=(3, 4), required=True)
+    sizes = " or ".join(map(str, orbits.REPORT_QUBITS))
+    p.add_argument(
+        "--n", type=int, choices=orbits.REPORT_QUBITS, required=True, help=f"qubit count: {sizes}"
+    )
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("count", parents=[common], help="number of hypergraph states")

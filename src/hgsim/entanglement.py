@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _bits
 from .statesim import DEFAULT_SEED, StateVector, _signs_to_pm1
 
 MAX_QUBITS = 12
@@ -77,13 +78,11 @@ def lambda_max(matrix: np.ndarray) -> float:
 
 
 def bipartition_masks(n: int) -> list[int]:
-    """One vertex-mask per bipartition: |A| <= n/2, ties keep vertex 1."""
+    """One vertex-mask per bipartition, by |A| <= n/2 (ties keep vertex 1), then mask."""
     masks = []
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if 2 * size < n or (2 * size == n and mask & 1):
-            masks.append(mask)
-    masks.sort(key=lambda m: (m.bit_count(), m))
+    for size in range(1, n // 2 + 1):
+        side = _bits.set_bits(_bits.weight_mask(n, size))
+        masks += [m for m in side if m & 1] if 2 * size == n else side
     return masks
 
 
@@ -117,8 +116,7 @@ def genuine_multipartite_geometric(s: StateVector) -> BipartitionReport:
     entries = _entries(s)
     cuts = []
     for mask in bipartition_masks(s.n):
-        qubits = [q for q in range(1, s.n + 1) if (mask >> (q - 1)) & 1]
-        cuts.append((mask, lambda_max(_reduced_density(entries, s, qubits))))
+        cuts.append((mask, lambda_max(_reduced_density(entries, s, _bits.mask_bits(mask, 1)))))
     return BipartitionReport(s.n, tuple(cuts))
 
 

@@ -50,9 +50,9 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
-        for e in self.edges:
-            if not 0 < e < 1 << self.n:
-                raise ValueError(f"edge mask {e:#x} invalid for n={self.n}")
+        bad = _bits.first_bad_mask(self.edges, (1 << self.n) - 1, empty_ok=False)
+        if bad is not None:
+            raise ValueError(f"edge mask {bad:#x} invalid for n={self.n}")
 
     @classmethod
     def from_sets(cls, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -114,8 +114,7 @@ class _HalfTable(dict):
         self.first = first  # the vertex of the half's bit 0
 
     def __missing__(self, half: int) -> Any:
-        vs = [self.first + i for i in range(half.bit_length()) if (half >> i) & 1]
-        value = self[half] = self.fmt(vs)
+        value = self[half] = self.fmt(_bits.mask_bits(half, self.first))
         return value
 
 

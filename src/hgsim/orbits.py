@@ -15,14 +15,15 @@ aside, which is why only nonempty edge sets are compared).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
 
 import numpy as np
 
 from . import _bits
 from .statesim import StateVector
 
-MAX_QUBITS = 4
+REPORT_QUBITS = (3, 4)  # the qubit counts of the inequivalence report
+MAX_QUBITS = REPORT_QUBITS[-1]  # orbit enumeration cap
 _REW_ATOL = 1e-9
 
 
@@ -46,24 +47,25 @@ class OrbitKey:
             np.abs(np.abs(flat.real) - scale)
         ) > _REW_ATOL:
             raise ValueError("state is not equally weighted +-1 up to a global phase")
-        table = 0
-        for x in np.nonzero(flat.real < 0)[0]:
-            table |= 1 << int(x)
-        return cls(s.n, _canonical(table, s.n))
+        return cls(s.n, _canonical(_bits.pack(flat.real < 0), s.n))
 
 
 def _canonical(table: int, n: int) -> int:
     return table ^ _bits.full_mask(n) if table & 1 else table
 
 
+@lru_cache(maxsize=None)
+def _parity_tables(n: int) -> tuple[int, ...]:
+    """The sign flip of every Z word, indexed by its mask."""
+    return tuple(_bits.parity_mask(z, n) for z in range(1 << n))
+
+
 def _table_orbit(table: int, n: int) -> frozenset[int]:
     """Canonical tables reachable by all 4**n local Pauli words."""
-    size = 1 << n
-    parity = [_bits.parity_mask(z, n) for z in range(size)]
     out = set()
-    for z_mask in range(size):
-        flipped = table ^ parity[z_mask]
-        for x_mask in range(size):
+    for parity in _parity_tables(n):
+        flipped = table ^ parity
+        for x_mask in range(1 << n):
             out.add(_canonical(_bits.xor_permute(flipped, x_mask, n), n))
     return frozenset(out)
 
@@ -82,12 +84,13 @@ def local_pauli_orbit(s: StateVector) -> set[OrbitKey]:
 
 
 def _uniform_state_tables(n: int, k: int) -> list[int]:
-    """Sign tables of every state with a nonempty k-uniform edge set."""
-    k_edges = [_bits.mask_from_vertices(c) for c in combinations(range(1, n + 1), k)]
-    return [
-        _bits.table_from_edges((e for j, e in enumerate(k_edges) if (pick >> j) & 1), n)
-        for pick in range(1, 1 << len(k_edges))
-    ]
+    """Sign tables of every state with a nonempty k-uniform edge set; tables of
+    distinct edges add by XOR, so each edge doubles the list."""
+    tables = [0]
+    for edge in _bits.set_bits(_bits.weight_mask(n, k)):
+        gate = _bits.table_from_edges([edge], n)
+        tables += [t ^ gate for t in tables]
+    return tables[1:]
 
 
 @dataclass
@@ -118,8 +121,8 @@ class InequivalenceReport:
 
 def class_inequivalence_report(n: int) -> InequivalenceReport:
     """Check every nonempty uniform state's orbit against every other order."""
-    if n not in (3, 4):
-        raise ValueError("inequivalence report is defined for n in {3, 4}")
+    if n not in REPORT_QUBITS:
+        raise ValueError(f"inequivalence report is defined for n in {set(REPORT_QUBITS)}")
     report = InequivalenceReport(n)
     tables = {k: _uniform_state_tables(n, k) for k in range(1, n + 1)}
     members = {k: frozenset(ts) for k, ts in tables.items()}  # already canonical

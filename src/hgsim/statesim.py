@@ -28,18 +28,16 @@ certificate projects all its probes at once as one 2**n x probes matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from . import _bits
-from .boolfn import TruthTable
+from .boolfn import MAX_QUBITS, TruthTable
 from .errors import FormatError
 from .hypergraph import Hypergraph, _edge_view, edge_mask, neighbour_masks, sorted_masks
 
-MAX_QUBITS = 20
 MAX_UNIQUENESS_QUBITS = 12
 ATOL_EQUAL = 1e-9  # amplitude comparisons on the complex backend
 ATOL_NORM = 1e-12  # squared-norm checks
@@ -151,13 +149,10 @@ def build_state(h: Hypergraph) -> StateVector:
 
 def apply_ckz(s: StateVector, vertices: Iterable[int]) -> StateVector:
     """Negate every amplitude whose excitation set contains the given edge."""
-    mask = edge_mask(vertices, s.n)
+    flips = _bits.table_from_edges([edge_mask(vertices, s.n)], s.n)
     if s.backend == "sign":
-        return StateVector(s.n, signs=s.signs ^ _bits.superset_mask(mask, s.n))
-    idx = np.arange(s.dim)
-    amps = s.amps.copy()
-    amps[(idx & mask) == mask] *= -1.0
-    return StateVector(s.n, amps=amps)
+        return StateVector(s.n, signs=s.signs ^ flips)
+    return StateVector(s.n, amps=np.where(_bits.unpack(flips, s.dim), -s.amps, s.amps))
 
 
 def apply_local_pauli(s: StateVector, i: int, p: str) -> StateVector:
@@ -173,7 +168,7 @@ def apply_local_pauli(s: StateVector, i: int, p: str) -> StateVector:
         if p == "X":
             return StateVector(s.n, signs=_bits.xor_permute(s.signs, bit, s.n))
         if p == "Z":
-            return StateVector(s.n, signs=s.signs ^ _bits.axis_set_mask(i - 1, s.n))
+            return StateVector(s.n, signs=s.signs ^ _bits.table_from_edges([bit], s.n))
         raise ValueError("Y is not representable on the sign backend; use to_dense() first")
     idx = np.arange(s.dim)
     hot = (idx & bit).astype(bool)
@@ -220,17 +215,11 @@ class StabilizerOperator:
     def _set(self, n: int, i: int, masks: frozenset[int]) -> None:
         if not 1 <= i <= n:
             raise ValueError(f"vertex {i} out of range 1..{n}")
-        # Every mask is in 0..2**n - 1 and clear of the flip bit iff their OR
-        # is (a negative mask makes the OR negative).
-        union = reduce(or_, masks, 0)
-        if union & (1 << (i - 1)) or not 0 <= union < 1 << n:
-            for m in masks:
-                if not 0 <= m < 1 << n:
-                    raise ValueError(f"tuple mask {m:#x} out of range for n={n}")
-                if (m >> (i - 1)) & 1:
-                    raise ValueError(
-                        f"tuple {sorted(_bits.vertices_from_mask(m))} must not contain the flip vertex"
-                    )
+        bad = _bits.first_bad_mask(masks, ((1 << n) - 1) ^ (1 << (i - 1)))
+        if bad is not None:
+            if not 0 <= bad < 1 << n:
+                raise ValueError(f"tuple mask {bad:#x} out of range for n={n}")
+            raise ValueError(f"tuple {_bits.mask_bits(bad, 1)} must not contain the flip vertex")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "masks", masks)
@@ -286,8 +275,6 @@ def apply_stabilizer(s: StateVector, op: StabilizerOperator) -> StateVector:
 
 def verify_stabilized(h: Hypergraph) -> bool:
     """True iff every vertex's correlation operator fixes the built state exactly."""
-    if h.n > MAX_QUBITS:
-        raise ValueError(f"dense simulation is capped at n={MAX_QUBITS}")
     s = build_state(h)
     return all(
         apply_stabilizer(s, stabilizer(h, i)).signs == s.signs for i in range(1, h.n + 1)
@@ -431,6 +418,8 @@ def load(text: str) -> StateVector:
         n = int(head[1])
     except ValueError:
         raise FormatError(f"bad qubit count {head[1]!r}") from None
+    if not 1 <= n <= MAX_QUBITS:  # before 2**n is formed
+        raise FormatError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
     backend = head[3]
     if backend not in ("sign", "complex"):
         raise FormatError(f"unknown backend {backend!r}")

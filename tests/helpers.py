@@ -158,6 +158,67 @@ def loop_set_bits(table: int) -> list[int]:
     return out
 
 
+def loop_mask_check(masks, n: int, clear: int = 0, empty_ok: bool = True):
+    """The first mask outside 0..2**n - 1, sharing a bit with clear, or equal
+    to 0 unless empty_ok, by testing every mask; None if there is none."""
+    for m in masks:
+        if not 0 <= m < 1 << n or m & clear or (m == 0 and not empty_ok):
+            return m
+    return None
+
+
+def loop_superset_mask(label: int, n: int) -> int:
+    """Table of the labels containing label, doubled along each axis label lacks."""
+    mask = 1 << label
+    for i in range(n):
+        if not (label >> i) & 1:
+            mask |= mask << (1 << i)
+    return mask
+
+
+def loop_axis_set_mask(i: int, n: int) -> int:
+    """Table of the labels whose bit i is 1: the bit-i-clear half, shifted up."""
+    return _bits.axis_clear_mask(i, n) << (1 << i)
+
+
+def loop_parity_mask(z_mask: int, n: int) -> int:
+    """Table of odd popcount(x AND z_mask): XOR of one axis half per bit of z_mask."""
+    mask = 0
+    for i in range(n):
+        if (z_mask >> i) & 1:
+            mask ^= loop_axis_set_mask(i, n)
+    return mask
+
+
+def loop_bipartition_masks(n: int) -> list[int]:
+    """Every cut side with |A| < n/2 or |A| = n/2 holding vertex 1, filtered
+    from all 2**n masks and sorted by size, then mask."""
+    masks = []
+    for mask in range(1, 1 << n):
+        size = mask.bit_count()
+        if 2 * size < n or (2 * size == n and mask & 1):
+            masks.append(mask)
+    masks.sort(key=lambda m: (m.bit_count(), m))
+    return masks
+
+
+def loop_uniform_state_tables(n: int, k: int) -> list[int]:
+    """Sign table of each nonempty choice of k-vertex edges from combinations."""
+    k_edges = [_bits.mask_from_vertices(c) for c in combinations(range(1, n + 1), k)]
+    return [
+        loop_table_from_edges([e for j, e in enumerate(k_edges) if (pick >> j) & 1], n)
+        for pick in range(1, 1 << len(k_edges))
+    ]
+
+
+def loop_minus_table(amps: np.ndarray) -> int:
+    """Table with bit x set iff amps[x] has a negative real part, OR-ed label by label."""
+    table = 0
+    for x in np.nonzero(amps.real < 0)[0]:
+        table |= 1 << int(x)
+    return table
+
+
 def loop_weight_mask(n: int, k: int) -> int:
     """Weight-k label mask by summing one power of two per label."""
     return sum(1 << x for x in range(1 << n) if x.bit_count() == k)

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hgsim import cli, statesim
+from hgsim import boolfn, cli, entanglement, hypergraph, orbits, statesim
 
 GROVER3 = "n 3\ne 1 2 3\n"
 MIXED3_TABLE = "n 3\nEA\n"
@@ -233,3 +237,97 @@ def test_verify_names_the_label_of_a_failing_commutator(grover_graph, monkeypatc
     worst = max(statesim.commutator_residual(first, wrong, p) for p in probes)
     assert f"commutator 1 2 residual {worst:.12g}" in out.splitlines()
     assert "commutator 1 3 residual 0" in out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["extract", "entangle"])
+@pytest.mark.parametrize("n", ["99999999999", "-1"])
+def test_sign_dump_past_the_dense_cap_exits_2(command, n, tmp_path, capsys):
+    path = tmp_path / "huge.dump"
+    path.write_text(f"n {n} backend sign\n0 +\n")
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"hgsim: qubit count must be in 1..{boolfn.MAX_QUBITS}, got {n}\n"
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "dot", "classify"])
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("n 2 backend sign\n0 +\n1 +\n2 +\n3 -\n", "state dump"),
+        (MIXED3_TABLE, "truth table"),
+    ],
+)
+def test_graph_commands_name_the_kind_of_file_they_got(command, text, kind, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"hgsim: got a {kind} where a hypergraph file was expected\n"
+
+
+# Qubit counts at and just past every cap, plus nonsense ones.
+EDGE_COUNTS = sorted({
+    0, -1, 10**11,
+    hypergraph.MAX_VERTICES, hypergraph.MAX_VERTICES + 1,
+    boolfn.MAX_QUBITS + 1,
+    statesim.MAX_UNIQUENESS_QUBITS + 1,
+    entanglement.MAX_QUBITS + 1,
+    min(orbits.REPORT_QUBITS) - 1, orbits.MAX_QUBITS + 1,
+})
+FILE_COMMANDS = [
+    ["build"], ["verify"], ["dot"], ["classify"], ["classify", "--table"], ["entangle"],
+    ["extract", "--method", "both"], ["extract", "--method", "layered"],
+]
+
+
+@st.composite
+def file_texts(draw):
+    """A small valid graph, table or sign dump, or a header with an extreme n."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["graph", "table", "dump", "extreme"]))
+    if kind == "graph":
+        edges = draw(st.frozensets(st.integers(1, (1 << n) - 1), max_size=8))
+        return hypergraph.serialize(hypergraph.Hypergraph(n, edges))
+    bits = draw(st.integers(0, (1 << (1 << n)) - 1))
+    if kind == "table":
+        return boolfn.to_text(boolfn.TruthTable(n, bits))
+    if kind == "dump":
+        return statesim.dump(statesim.StateVector(n, signs=bits))
+    big = draw(st.sampled_from(EDGE_COUNTS))
+    body = draw(st.sampled_from(["", "e 1 2\n", "EA\n"]))
+    header = draw(st.sampled_from([f"n {big}", f"n {big} backend sign", f"n {big} backend complex"]))
+    return f"{header}\n{body}"
+
+
+@st.composite
+def invocations(draw):
+    """(argv, stdin) for any subcommand."""
+    count = st.sampled_from(EDGE_COUNTS + list(range(1, 6)))
+    seed = ["--seed", str(draw(st.sampled_from([42, 0, -1])))]
+    which = draw(st.integers(0, 3))
+    if which == 0:
+        return draw(st.sampled_from(FILE_COMMANDS)) + ["-"] + seed, draw(file_texts())
+    if which == 1:
+        return ["orbit", "--n", str(draw(count))], ""
+    if which == 2:
+        k = draw(st.none() | count)
+        return ["count", "--n", str(draw(count))] + ([] if k is None else ["--k", str(k)]), ""
+    return ["selftest"] + seed, ""
+
+
+@settings(max_examples=120, deadline=None)
+@given(invocations())
+def test_every_command_exits_0_1_or_2_without_a_traceback(invocation):
+    argv, stdin = invocation
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)  # an uncaught exception fails the test
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from hgsim import _bits, entanglement, hypergraph, statesim
+from hgsim import _bits, entanglement, hypergraph, orbits, statesim
 from hgsim.errors import FormatError
 from hgsim.hypergraph import Hypergraph
+from hgsim.orbits import OrbitKey
 
 MAX_N = 12
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -172,3 +173,108 @@ def test_neighbour_masks_match_a_scan_of_the_edges(h, data):
     want = {e ^ bit for e in h.edges if e & bit}
     assert hypergraph.neighbour_masks(h, i) == want
     assert statesim.stabilizer(h, i).masks == want
+
+
+# ---- one-edge gates, Z words, cut sides, uniform tables and orbit keys against their loops
+
+SMALL_N = 8
+
+
+@PROPERTY
+@given(tables(max_n=SMALL_N), st.data())
+def test_one_edge_gate_is_the_superset_table(case, data):
+    n, signs = case
+    mask = data.draw(st.integers(1, (1 << n) - 1))
+    want = helpers.loop_superset_mask(mask, n)
+    assert _bits.table_from_edges([mask], n) == want
+    vertices = _bits.vertices_from_mask(mask)
+    s = statesim.StateVector(n, signs=signs)
+    assert statesim.apply_ckz(s, vertices).signs == signs ^ want
+    dense = statesim.apply_ckz(s.to_dense(), vertices).amps
+    idx = np.arange(1 << n)
+    expected = s.dense_array().copy()
+    expected[(idx & mask) == mask] *= -1.0
+    assert np.array_equal(dense, expected)
+
+
+@pytest.mark.parametrize("n", range(1, SMALL_N + 1))
+def test_local_z_and_z_words_match_the_axis_loops(n):
+    plus = statesim.StateVector.plus_state(n)
+    for i in range(1, n + 1):
+        assert statesim.apply_local_pauli(plus, i, "Z").signs == helpers.loop_axis_set_mask(i - 1, n)
+    for z_mask in range(1 << n):
+        assert _bits.parity_mask(z_mask, n) == helpers.loop_parity_mask(z_mask, n)
+
+
+@PROPERTY
+@given(st.integers(0, (1 << 64) - 1), st.integers(0, 2))
+def test_mask_bits_match_the_bit_peel_loop(mask, first):
+    assert _bits.mask_bits(mask, first) == [first + i for i in helpers.loop_set_bits(mask)]
+    assert _bits.vertices_from_mask(mask) == frozenset(i + 1 for i in helpers.loop_set_bits(mask))
+
+
+@PROPERTY
+@given(st.integers(1, SMALL_N).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(0, n),
+    st.booleans(),
+    st.lists(st.integers(-3, (1 << (n + 1)) + 1), max_size=20),
+)))
+def test_first_bad_mask_is_the_first_failing_mask(case):
+    n, flip, empty_ok, masks = case
+    clear = (1 << flip) >> 1  # no bit for flip = 0
+    allowed = ((1 << n) - 1) & ~clear
+    got = _bits.first_bad_mask(masks, allowed, empty_ok)
+    assert got == helpers.loop_mask_check(masks, n, clear, empty_ok)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_bipartition_masks_match_filter_and_sort(n):
+    assert entanglement.bipartition_masks(n) == helpers.loop_bipartition_masks(n)
+
+
+@pytest.mark.parametrize("n", range(1, orbits.MAX_QUBITS + 1))
+def test_uniform_state_tables_match_combinations(n):
+    for k in range(1, n + 1):
+        got = orbits._uniform_state_tables(n, k)
+        want = helpers.loop_uniform_state_tables(n, k)
+        assert len(got) == len(set(got)) == len(want) and set(got) == set(want)
+
+
+@PROPERTY
+@given(tables(max_n=orbits.MAX_QUBITS), st.floats(0, 2 * np.pi))
+def test_orbit_key_of_a_dense_state_matches_the_label_loop(case, angle):
+    n, signs = case
+    amps = statesim.StateVector(n, signs=signs).dense_array() * np.exp(1j * angle)
+    key = OrbitKey.from_state(statesim.StateVector(n, amps=amps))
+    flat = amps / (amps[0] / abs(amps[0]))
+    minus = helpers.loop_minus_table(flat)
+    assert key == OrbitKey(n, minus ^ _bits.full_mask(n) if minus & 1 else minus)
+    assert key == OrbitKey.from_state(statesim.StateVector(n, signs=signs))
+
+
+@PROPERTY
+@given(st.integers(1, SMALL_N).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(1, n),
+    st.frozensets(st.integers(-2, (1 << n) + 2), max_size=20),
+)))
+def test_edge_and_tuple_checks_name_the_first_bad_mask(case):
+    n, i, masks = case
+    bad_edge = helpers.loop_mask_check(masks, n, empty_ok=False)
+    if bad_edge is None:
+        assert Hypergraph(n, masks).edges == masks
+    else:
+        with pytest.raises(ValueError, match=f"^edge mask {bad_edge:#x} invalid for n={n}$"):
+            Hypergraph(n, masks)
+    bad_tuple = helpers.loop_mask_check(masks, n, clear=1 << (i - 1))
+    if bad_tuple is None:
+        assert statesim.StabilizerOperator.from_masks(n, i, masks).masks == masks
+    else:
+        with pytest.raises(ValueError) as err:
+            statesim.StabilizerOperator.from_masks(n, i, masks)
+        if 0 <= bad_tuple < 1 << n:
+            vertices = sorted(_bits.vertices_from_mask(bad_tuple))
+            assert str(err.value) == f"tuple {vertices} must not contain the flip vertex"
+        else:
+            assert str(err.value) == f"tuple mask {bad_tuple:#x} out of range for n={n}"
