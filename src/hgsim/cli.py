@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
+import string
 import sys
 from pathlib import Path
 
@@ -31,11 +33,15 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+# The nonempty lines of str.splitlines(), found one at a time.
+_NONEMPTY_LINE = re.compile(r"[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
 def _sniff(text: str) -> str:
     """Guess whether a text is a hypergraph file, a truth table or a state dump."""
     lines = []  # the first two non-blank lines are enough
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    for match in _NONEMPTY_LINE.finditer(text):
+        line = match[0].split("#", 1)[0].strip()
         if line:
             lines.append(line)
             if len(lines) == 2:
@@ -47,9 +53,24 @@ def _sniff(text: str) -> str:
         return "state dump"
     if head[:1] != ["n"]:
         raise FormatError(f"unrecognized first line {lines[0]!r}")
-    if len(lines) == 1 or lines[1].split()[0] == "e":
+    if len(lines) == 1 or (lines[1].split()[0] == "e" and not _is_hex_line(head, lines[1])):
         return "hypergraph file"
     return "truth table"
+
+
+def _is_hex_line(head: list[str], line: str) -> bool:
+    """True iff line is the hex line of a table for the header `n <int>`: exactly
+    ceil(2**n / 4) hex digits.  Of the lines that begin with an `e` field, that
+    is only a bare `e` at n <= 2, which no edge line is."""
+    try:
+        n = int(head[1]) if len(head) == 2 else 0
+    except ValueError:
+        return False
+    return (
+        1 <= n <= boolfn.MAX_QUBITS
+        and len(line) == boolfn.hex_digits(n)
+        and all(c in string.hexdigits for c in line)
+    )
 
 
 def _load_graph(text: str) -> hypergraph.Hypergraph:

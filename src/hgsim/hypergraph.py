@@ -16,10 +16,12 @@ are an error, not a silent toggle.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Any, Callable, Iterable
+from operator import add
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -63,7 +65,7 @@ class Hypergraph:
 
     def sorted_edges(self) -> list[int]:
         """Edges in canonical order: by size, then lexicographic vertex tuple."""
-        return sorted_masks(self.edges, self.n)
+        return sorted_masks(self._edge_array).tolist()
 
     @cached_property
     def _edge_array(self) -> np.ndarray:
@@ -118,32 +120,121 @@ class _HalfTable(dict):
         return value
 
 
-def _edge_view(n: int, fmt: Callable[[list[int]], Any]) -> Callable[[int], Any]:
-    """Edge mask -> fmt(ascending vertices), for a fmt that maps the
-    concatenation of two vertex lists to the sum (+) of their values.
+def _edge_texts(
+    masks: np.ndarray, n: int, fmt: Callable[[list[int]], Any], head: Any = ""
+) -> Iterator[Any]:
+    """head + fmt(ascending vertices) of each mask of a uint64 array, for a
+    fmt that maps the concatenation of two vertex lists to the sum (+) of
+    their values.
 
-    The value is the sum of two table entries, keyed by the low and high
-    ceil(n/2)-bit halves of the mask.
+    Each value is the sum of two table entries, keyed by the low and high
+    ceil(n/2)-bit halves of the mask; the low half's entry carries the head.
     """
     split = (n + 1) // 2
-    low_mask = (1 << split) - 1
-    low, high = _HalfTable(fmt, 1), _HalfTable(fmt, split + 1)
-    return lambda e: low[e & low_mask] + high[e >> split]
+    low = _HalfTable(lambda vs: head + fmt(vs), 1)
+    high = _HalfTable(fmt, split + 1)
+    lows = (masks & np.uint64((1 << split) - 1)).tolist()
+    highs = (masks >> np.uint64(split)).tolist()
+    return map(add, map(low.__getitem__, lows), map(high.__getitem__, highs))
 
 
-def sorted_masks(masks: Iterable[int], n: int) -> list[int]:
-    """Label masks below 2**n by size, then lexicographic vertex tuple.
+# Bit i of byte b set iff bit 7 - i of _REVERSED_BYTE[b] is.
+_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
+def sorted_masks(masks: np.ndarray) -> np.ndarray:
+    """A uint64 array of label masks by size, then lexicographic vertex tuple.
 
     Among masks of one size, ascending vertex tuples are descending
-    bit-reversed masks (vertex v -> bit n - v), so the sort key is
-    size * 2**n - reversed mask; both terms are sums over the two halves.
+    bit-reversed masks (vertex v -> bit 64 - v), so one lexsort over
+    (popcount, complement of the reversed mask) gives the order.
     """
-    key = _edge_view(n, lambda vs: (len(vs) << n) - sum(1 << (n - v) for v in vs))
-    return sorted(masks, key=key)
+    reversed_ = _REVERSED_BYTE[masks.view(np.uint8)].view(np.uint64).byteswap()
+    return masks[np.lexsort((~reversed_, np.bitwise_count(masks)))]
 
 
 def parse(text: str) -> Hypergraph:
-    """Parse the edge-list text format; malformed or duplicate input raises."""
+    """Parse the edge-list text format; malformed or duplicate input raises.
+
+    Plain files (an exact `n K` header, then `e` lines of one- or two-digit
+    vertices, each line ending in a newline) are read by a byte-level numpy
+    pass; anything else, faulty files included, goes through the line loop,
+    which alone words the error messages.
+    """
+    h = _parse_plain(text)
+    return h if h is not None else _parse_lines(text)
+
+
+_PLAIN_HEADER = re.compile(r"n ([1-9][0-9]?)\n")
+_BLOCK_BYTES = 1 << 14  # the byte-level pass reads line-aligned blocks of about this size
+
+
+def _parse_plain(text: str) -> Hypergraph | None:
+    """The hypergraph of a plain file, or None if the file is not plain or
+    has a fault (a vertex out of range, not increasing, or a duplicate edge)."""
+    head = _PLAIN_HEADER.match(text)
+    if head is None or int(head[1]) > MAX_VERTICES:
+        return None
+    n = int(head[1])
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    blocks = []
+    start = head.end()
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        masks = _plain_edge_masks(np.frombuffer(data, np.uint8, stop - start, start), n)
+        if masks is None:
+            return None
+        blocks.append(masks)
+        start = stop
+    masks = np.concatenate(blocks).tolist() if blocks else []
+    edges = frozenset(masks)
+    return Hypergraph(n, edges) if len(edges) == len(masks) else None
+
+
+def _plain_edge_masks(line_bytes: np.ndarray, n: int) -> np.ndarray | None:
+    """The uint64 edge masks of whole lines `e( [0-9]{1,2})+\\n` with
+    strictly increasing vertices in 1..n, or None if a line is not of that
+    form."""
+    digit_value = line_bytes - ord("0")  # uint8: non-digits wrap to 10 and above
+    digit = digit_value < 10
+    space = line_bytes == ord(" ")
+    newline = line_bytes == ord("\n")
+    e = line_bytes == ord("e")
+    line_start = np.empty_like(e)
+    line_start[0] = True
+    line_start[1:] = newline[:-1]
+    if (
+        line_bytes[-1] != ord("\n")
+        or not (digit | space | newline | e).all()
+        or not np.array_equal(e, line_start)  # each line starts with the only `e`
+        or (e[:-1] & ~space[1:]).any()  # `e` then a space
+        or (space[:-1] & ~digit[1:]).any()  # each space then a digit
+        or (digit[:-2] & digit[1:-1] & digit[2:]).any()  # at most two digits per vertex
+    ):
+        return None
+    value = digit_value * digit  # uint8, 0 off the digits
+    value[1:] += 10 * value[:-1]  # at the last digit of a vertex: its value
+    last = digit.copy()
+    last[:-1] &= ~digit[1:]
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    vertices = np.compress(last, value)
+    line_first = np.compress(first[2:], e[:-2])  # vertex opens its line: `e` 2 bytes before
+    if not (
+        vertices.min() >= 1
+        and vertices.max() <= n
+        and ((vertices[1:] > vertices[:-1]) | line_first[1:]).all()
+    ):
+        return None
+    bits = np.uint64(1) << (vertices - 1)
+    return np.bitwise_or.reduceat(bits, np.flatnonzero(line_first))
+
+
+def _parse_lines(text: str) -> Hypergraph:
+    """parse() by a loop over the lines, for any input."""
     n = None
     edges: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -190,9 +281,9 @@ def parse(text: str) -> Hypergraph:
 
 
 def serialize(h: Hypergraph) -> str:
-    text = _edge_view(h.n, lambda vs: "".join(f" {v}" for v in vs))
+    edges = sorted_masks(h._edge_array)
     lines = [f"n {h.n}"]
-    lines.extend("e" + text(e) for e in h.sorted_edges())
+    lines.extend(_edge_texts(edges, h.n, lambda vs: "".join(f" {v}" for v in vs), "e"))
     return "\n".join(lines) + "\n"
 
 
@@ -251,9 +342,7 @@ def to_dot(h: Hypergraph) -> str:
         deco = " [peripheries=2]" if v in singletons else ""
         out.append(f"  {v}{deco};")
     hub = 0
-    vertices = _edge_view(h.n, tuple)
-    for e in h.sorted_edges():
-        vs = vertices(e)
+    for vs in _edge_texts(sorted_masks(h._edge_array), h.n, tuple, ()):
         if len(vs) == 1:
             continue
         if len(vs) == 2:

@@ -27,6 +27,7 @@ certificate projects all its probes at once as one 2**n x probes matrix.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -36,7 +37,7 @@ import numpy as np
 from . import _bits
 from .boolfn import MAX_QUBITS, TruthTable
 from .errors import FormatError
-from .hypergraph import Hypergraph, _edge_view, edge_mask, neighbour_masks, sorted_masks
+from .hypergraph import Hypergraph, _edge_texts, edge_mask, neighbour_masks, sorted_masks
 
 MAX_UNIQUENESS_QUBITS = 12
 ATOL_EQUAL = 1e-9  # amplitude comparisons on the complex backend
@@ -44,7 +45,7 @@ ATOL_NORM = 1e-12  # squared-norm checks
 
 DEFAULT_SEED = 42
 
-_SIGN_MARKS = (" +", " -")  # dump text after the label, indexed by the sign bit
+_SIGN_HEADER = re.compile(r"n ([1-9][0-9]?) backend sign\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +68,7 @@ class StateVector:
             amps = np.asarray(self.amps, dtype=complex)
             if amps.shape != (self.dim,):
                 raise ValueError(f"amplitude vector must have length {self.dim}")
-            if abs(np.vdot(amps, amps).real - 1.0) > ATOL_NORM:
+            if not abs(np.vdot(amps, amps).real - 1.0) <= ATOL_NORM:  # NaN fails too
                 raise ValueError("state is not normalized")
             amps = amps.copy()
             amps.flags.writeable = False
@@ -241,11 +242,10 @@ class StabilizerOperator:
         return arr
 
     def __str__(self) -> str:
-        text = _edge_view(self.n, lambda vs: "".join(f",{v}" for v in vs))
+        masks = sorted_masks(np.fromiter(self.masks, dtype=np.uint64, count=len(self.masks)))
+        texts = _edge_texts(masks, self.n, lambda vs: "".join(f",{v}" for v in vs))
         parts = [f"X{self.i}"]
-        parts.extend(
-            f"C{m.bit_count()}Z({text(m)[1:]})" for m in sorted_masks(self.masks, self.n)
-        )
+        parts.extend(f"C{m.bit_count()}Z({t[1:]})" for m, t in zip(masks.tolist(), texts))
         return " ".join(parts)
 
 
@@ -394,20 +394,78 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
     return bool(np.allclose(va, scale * vb, rtol=0.0, atol=ATOL_EQUAL))
 
 
+def _sign_lines(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of the dump lines `x +` (each ending in a newline) of every
+    label x < 2**n, and the index of each line's sign byte.
+
+    Built one decimal width at a time: the labels of w digits fill a
+    (count, w + 3) byte matrix, one column per digit.
+    """
+    size = 1 << n
+    chunks, signs = [], []
+    offset, low, width = 0, 0, 1
+    while low < size:
+        high = min(10**width, size)
+        rows = np.empty((high - low, width + 3), dtype=np.uint8)
+        labels = np.arange(low, high, dtype=np.int32)
+        for col in range(width - 1, -1, -1):
+            tens = labels // 10  # a floor division by a scalar is far faster than %
+            rows[:, col] = labels - 10 * tens + ord("0")
+            labels = tens
+        rows[:, width:] = np.frombuffer(b" +\n", dtype=np.uint8)
+        chunks.append(rows.reshape(-1))
+        signs.append(np.arange(offset + width + 1, offset + rows.size, width + 3, dtype=np.int32))
+        offset += rows.size
+        low, width = high, width + 1
+    return np.concatenate(chunks), np.concatenate(signs)
+
+
 def dump(s: StateVector) -> str:
     """State dump: header `n <int> backend <sign|complex>`, one line per label."""
-    lines = [f"n {s.n} backend {s.backend}"]
+    head = f"n {s.n} backend {s.backend}\n"
     if s.backend == "sign":
-        bits = _bits.unpack(s.signs, s.dim).tobytes()  # iterates as ints 0 and 1
-        lines.extend(f"{x}{_SIGN_MARKS[b]}" for x, b in enumerate(bits))
-    else:
-        for x in range(s.dim):
-            lines.append(f"{x} {float(s.amps[x].real)!r} {float(s.amps[x].imag)!r}")
-    return "\n".join(lines) + "\n"
+        lines, signs = _sign_lines(s.n)
+        lines[signs[_bits.unpack(s.signs, s.dim).view(bool)]] = ord("-")
+        return head + lines.tobytes().decode("ascii")
+    return head + "".join(
+        f"{x} {float(s.amps[x].real)!r} {float(s.amps[x].imag)!r}\n" for x in range(s.dim)
+    )
 
 
 def load(text: str) -> StateVector:
-    """Parse a state dump produced by dump()."""
+    """Parse a state dump produced by dump().
+
+    A sign dump exactly as dump() writes it is checked and read byte-wise
+    against the dump lines of its n; any other text goes through the line
+    loop, which alone words the error messages.
+    """
+    state = _load_plain_signs(text)
+    return state if state is not None else _load_lines(text)
+
+
+def _load_plain_signs(text: str) -> StateVector | None:
+    """The state of a sign dump byte-identical to dump()'s, else None."""
+    head = _SIGN_HEADER.match(text)
+    if head is None or int(head[1]) > MAX_QUBITS:
+        return None
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    n = int(head[1])
+    lines, signs = _sign_lines(n)
+    got = np.frombuffer(data, dtype=np.uint8, offset=head.end())
+    if got.size != lines.size:
+        return None
+    minus = got[signs] == ord("-")
+    lines[signs[minus]] = ord("-")
+    if not np.array_equal(got, lines):
+        return None
+    return StateVector(n, signs=_bits.pack(minus))
+
+
+def _load_lines(text: str) -> StateVector:
+    """load() by a loop over the lines, for any input."""
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise FormatError("empty state dump")

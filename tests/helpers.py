@@ -240,6 +240,16 @@ def vertex_tuple_sorted(edges) -> list[int]:
     return sorted(edges, key=lambda e: (e.bit_count(), vertices(e)))
 
 
+def loop_sorted_masks(masks, n: int) -> list[int]:
+    """Masks below 2**n sorted by the key size * 2**n - bit-reversed mask
+    (vertex v -> bit n - v), summed vertex by vertex."""
+    def key(m: int) -> int:
+        vs = [i + 1 for i in range(m.bit_length()) if (m >> i) & 1]
+        return (len(vs) << n) - sum(1 << (n - v) for v in vs)
+
+    return sorted(masks, key=key)
+
+
 def operator_diagonal(op) -> np.ndarray:
     """(-1)**(number of the operator's tuple masks contained in x), per label x."""
     labels = np.arange(1 << op.n)

@@ -107,6 +107,31 @@ def test_lowercase_hex_table_starting_with_e_digit(tmp_path, capsys):
     assert out == "n 3\ne 1\ne 2 3\ne 1 2 3\n"
 
 
+@pytest.mark.parametrize("digit", ["e", "E"])
+def test_one_digit_table_e_is_a_table(digit, tmp_path, capsys):
+    """A bare `e` is never an edge line; at n <= 2 it is the whole hex line."""
+    table = tmp_path / "t.tt"
+    table.write_text(f"n 2\n{digit}\n")
+    assert run_cli(["extract", str(table)], capsys) == (0, "n 2\ne 1\ne 2\ne 1 2\n", "")
+    code, out, err = run_cli(["entangle", str(table)], capsys)
+    assert (code, err) == (0, "") and out.splitlines()[-1].startswith("E2 ")
+    assert run_cli(["build", str(table)], capsys) == (
+        2, "", "hgsim: got a truth table where a hypergraph file was expected\n"
+    )
+
+
+def test_bare_e_past_two_qubits_is_an_empty_edge(tmp_path, capsys):
+    graph = tmp_path / "g.gr"
+    graph.write_text("n 3\ne\n")
+    assert run_cli(["build", str(graph)], capsys) == (2, "", "hgsim: line 2: empty edge\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.sampled_from("ab #\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\t")))
+def test_sniff_sees_the_nonempty_lines_of_splitlines(text):
+    assert cli._NONEMPTY_LINE.findall(text) == [ln for ln in text.splitlines() if ln]
+
+
 def test_orbit_report(capsys):
     code, out, _ = run_cli(["orbit", "--n", "3"], capsys)
     assert code == 0

@@ -1,6 +1,8 @@
 """Property tests: the linear-time bit kernels and the mask-native text layer
 against the loop oracles in helpers.py."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,3 +280,151 @@ def test_edge_and_tuple_checks_name_the_first_bad_mask(case):
             assert str(err.value) == f"tuple {vertices} must not contain the flip vertex"
         else:
             assert str(err.value) == f"tuple mask {bad_tuple:#x} out of range for n={n}"
+
+
+# ---- the numpy text layer against the line loops and the old sort key
+
+def outcome(read, text):
+    """read(text), or the message of the FormatError it raises."""
+    try:
+        return read(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@PROPERTY
+@given(hypergraphs(max_n=hypergraph.MAX_VERTICES))
+def test_sorted_masks_match_the_old_half_table_key(h):
+    masks = np.fromiter(h.edges, dtype=np.uint64, count=len(h.edges))
+    got = hypergraph.sorted_masks(masks)
+    assert got.dtype == np.uint64
+    assert got.tolist() == helpers.loop_sorted_masks(h.edges, h.n)
+
+
+def _edge_text(n: int, masks) -> str:
+    return f"n {n}\n" + "".join(
+        "e" + "".join(f" {v}" for v in _bits.mask_bits(m, 1)) + "\n" for m in masks
+    )
+
+
+@st.composite
+def plain_graph_texts(draw, max_n=hypergraph.MAX_VERTICES):
+    """(n, masks, text): an edge list in canonical or random order, and the
+    byte size of the blocks the fast path reads it in."""
+    n = draw(st.integers(1, max_n))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), unique=True, max_size=120))
+    if draw(st.booleans()):
+        text = hypergraph.serialize(Hypergraph(n, frozenset(masks)))
+    else:
+        text = _edge_text(n, masks)
+    return n, masks, text
+
+
+@PROPERTY
+@given(plain_graph_texts(), st.sampled_from([0, 1, 7, 64, hypergraph._BLOCK_BYTES]))
+def test_byte_level_parse_equals_the_line_loop(case, block):
+    n, masks, text = case
+    want = Hypergraph(n, frozenset(masks))
+    assert hypergraph._parse_lines(text) == want
+    with mock.patch.object(hypergraph, "_BLOCK_BYTES", block):
+        assert hypergraph._parse_plain(text) == want
+        assert hypergraph.parse(text) == want
+
+
+NON_ASCII_DIGITS = ("٠", "０")  # Arabic-Indic and fullwidth zero
+
+
+def _mutate(text: str, kind: str, n: int, draw) -> str:
+    """One fallback trigger applied to a plain edge list with at least one edge."""
+    head, *lines = text.splitlines(keepends=True)
+    at = draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    vertices = line.split()[1:]
+    j = draw(st.integers(0, len(vertices) - 1))
+    v = int(vertices[j])
+
+    def with_vertex(token: str) -> str:
+        return "e " + " ".join(vertices[:j] + [token] + vertices[j + 1:]) + "\n"
+
+    if kind == "comment":
+        lines[at] = draw(st.sampled_from([line[:-1] + " # note\n", "# note\n" + line]))
+    elif kind == "blank":
+        lines[at] = draw(st.sampled_from(["\n", "   \n"])) + line
+    elif kind == "cr":
+        lines[at] = line[:-1] + "\r\n"
+    elif kind == "tab":
+        lines[at] = line.replace(" ", "\t", 1)
+    elif kind == "plus":
+        lines[at] = with_vertex(f"+{v}")
+    elif kind == "underscore":
+        lines[at] = with_vertex(f"{v // 10}_{v % 10}")
+    elif kind == "non-ascii":
+        zero = ord(draw(st.sampled_from(NON_ASCII_DIGITS)))
+        lines[at] = with_vertex("".join(chr(zero + int(d)) for d in str(v)))
+    elif kind == "long":
+        lines[at] = with_vertex(draw(st.sampled_from([f"00{v}", f"1{v:02}", "999"])))
+    elif kind == "range":
+        lines[at] = with_vertex(draw(st.sampled_from(["0", str(n + 1), "99"])))
+    elif kind == "repeat":
+        lines[at] = with_vertex(f"{v} {v}")
+    elif kind == "duplicate":
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    elif kind == "no-newline":
+        lines[-1] = lines[-1][:-1]
+    elif kind == "lone-e":
+        lines.insert(draw(st.integers(0, len(lines))), "e\n")
+    elif kind == "lone-e-space":
+        lines.insert(draw(st.integers(0, len(lines))), "e \n")
+    return head + "".join(lines)
+
+
+FALLBACK_TRIGGERS = [
+    "comment", "blank", "cr", "tab", "plus", "underscore", "non-ascii", "long",
+    "range", "repeat", "duplicate", "no-newline", "lone-e", "lone-e-space",
+]
+
+
+@pytest.mark.parametrize("kind", FALLBACK_TRIGGERS)
+@settings(max_examples=20, deadline=None)
+@given(plain_graph_texts(max_n=20).filter(lambda case: case[1]), st.data())
+def test_parse_falls_back_to_the_line_loop_on_every_trigger(kind, case, data):
+    n, _, text = case
+    bad = _mutate(text, kind, n, data.draw)
+    assert hypergraph._parse_plain(bad) is None
+    assert outcome(hypergraph.parse, bad) == outcome(hypergraph._parse_lines, bad)
+
+
+@PROPERTY
+@given(tables(), st.data())
+def test_byte_level_load_equals_the_line_loop_on_damaged_dumps(case, data):
+    n, signs = case
+    text = statesim.dump(statesim.StateVector(n, signs=signs))
+    lines = text.splitlines(keepends=True)
+    kind = data.draw(st.sampled_from(["byte", "trailing", "drop"]))
+    if kind == "byte":
+        at = data.draw(st.integers(0, len(text) - 1))
+        text = text[:at] + data.draw(st.sampled_from("+-019 \n\r\tx#")) + text[at + 1:]
+    elif kind == "trailing":
+        at = data.draw(st.integers(0, len(lines) - 1))
+        lines[at] = lines[at][:-1] + "  \n"
+        text = "".join(lines)
+    else:
+        del lines[data.draw(st.integers(1, len(lines) - 1))]
+        text = "".join(lines)
+
+    def signs_of(read):
+        state = outcome(read, text)
+        return state if isinstance(state, str) else (state.n, state.backend, state.signs)
+
+    assert signs_of(statesim.load) == signs_of(statesim._load_lines)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_fast_paths_accept_every_serialize_and_dump_output(n):
+    """The byte-level readers, not the loops, take what the writers write."""
+    rng = np.random.default_rng(n)
+    h = helpers.random_hypergraph(n, rng)
+    assert hypergraph._parse_plain(hypergraph.serialize(h)) == h
+    signs = helpers.random_table(n, rng).bits
+    state = statesim._load_plain_signs(statesim.dump(statesim.StateVector(n, signs=signs)))
+    assert state is not None and state.signs == signs

@@ -266,6 +266,14 @@ def test_load_errors(text):
         statesim.load(text)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_amplitudes_are_not_normalized(value):
+    with pytest.raises(ValueError, match="^state is not normalized$"):
+        statesim.load(f"n 1 backend complex\n0 {value} 0\n1 {value} 0\n")
+    with pytest.raises(ValueError, match="^state is not normalized$"):
+        StateVector(1, amps=np.array([float(value), 0.0]))
+
+
 def test_rew_state_and_table_round_trip():
     tt = boolfn.truth_table_from_hex("EA", 3)
     s = statesim.rew_state(tt)
