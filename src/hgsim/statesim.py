@@ -6,8 +6,8 @@ Two amplitude backends:
   integer of sign bits (bit x set = minus).  Everything built from C^kZ
   layers on the uniform superposition stays here with zero rounding, so
   equality checks are bit-perfect.
-* ``complex``: a dense complex128 vector, used for Y gates, random probes
-  and projector arithmetic.
+* ``complex``: a dense complex128 vector, used for Y gates and the random
+  probes of ``commutator_residual``.
 
 Conversions between backends are explicit (``to_dense``); nothing converts
 silently.
@@ -19,10 +19,10 @@ built only for ``tuples`` and the text rendering.  The phase-gate product is
 itself a +-1 diagonal, so an operator application is one diagonal table plus
 one label permutation, O(2**n) regardless of how many tuples it carries.
 
-Commutation is decided exactly on sign tables (``commutation_witness``
-names the first label where the two products differ).  The random-probe
-``commutator_residual`` is kept as an independent check, and the uniqueness
-certificate projects all its probes at once as one 2**n x probes matrix.
+Commutation and uniqueness are decided exactly on sign tables
+(``commutation_witness`` names the first label where the two products
+differ; ``joint_dimension`` counts the joint +1 eigenspace).  The
+random-probe ``commutator_residual`` is kept as an independent check.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 from typing import Iterable
 
 import numpy as np
@@ -242,11 +243,32 @@ class StabilizerOperator:
         return arr
 
     def __str__(self) -> str:
-        masks = sorted_masks(np.fromiter(self.masks, dtype=np.uint64, count=len(self.masks)))
-        texts = _edge_texts(masks, self.n, lambda vs: "".join(f",{v}" for v in vs))
-        parts = [f"X{self.i}"]
-        parts.extend(f"C{m.bit_count()}Z({t[1:]})" for m, t in zip(masks.tolist(), texts))
-        return " ".join(parts)
+        return operator_texts([self])[0]
+
+
+def operator_texts(ops: list[StabilizerOperator]) -> list[str]:
+    """The text of each operator: `X<i>`, then `C<k>Z(<vertices>)` per tuple by
+    size, then vertex tuple.  The operators share one n; all their tuples go
+    through one _edge_texts call, and each run of one size through one join."""
+    if not ops:
+        return []
+    n = ops[0].n
+    if any(op.n != n for op in ops):
+        raise ValueError("operators of different qubit counts")
+    arrays = [sorted_masks(np.fromiter(op.masks, np.uint64, len(op.masks))) for op in ops]
+    # ",v1,v2,..." per tuple; the leading comma goes with the final "(," -> "("
+    texts = list(_edge_texts(np.concatenate(arrays), n, lambda vs: "".join(f",{v}" for v in vs)))
+    out, start = [], 0
+    for op, masks in zip(ops, arrays):
+        # the tuples of size k are texts[bounds[k]:bounds[k + 1]]
+        bounds = (start + np.searchsorted(np.bitwise_count(masks), np.arange(n + 2))).tolist()
+        runs = [
+            f"C{k}Z(" + f") C{k}Z(".join(texts[a:b]) + ")"
+            for k, (a, b) in enumerate(pairwise(bounds)) if a < b
+        ]
+        out.append(" ".join([f"X{op.i}", *runs]).replace("(,", "("))
+        start = bounds[-1]
+    return out
 
 
 def stabilizer(h: Hypergraph, i: int) -> StabilizerOperator:
@@ -328,6 +350,29 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, amps=v / np.linalg.norm(v))
 
 
+def joint_dimension(ops: list[StabilizerOperator], n: int) -> int:
+    """Dimension of the joint +1 eigenspace of n-qubit operators, exactly.
+
+    K = X_f D fixes v iff v(x ^ f) = (-1)^D(x) v(x) for every label x, so a
+    joint +1 vector is fixed by its values on one label per coset of the
+    span of the flip bits.  Signs propagated from those labels along each
+    flip bit (by its first operator) are checked against every operator; a
+    coset with a conflicting label holds only 0, every other coset adds one.
+    """
+    if any(op.n != n for op in ops):
+        raise ValueError(f"dimension mismatch: operators must have n={n}")
+    first = {op.i - 1: op for op in reversed(ops)}  # flip bit -> its first operator
+    table = conflicts = 0
+    for b, op in first.items():  # the labels with bit b set, from those without
+        low = table & _bits.axis_clear_mask(b, n)
+        table = low | ((low << (1 << b)) ^ op.diagonal_table) & ~_bits.axis_clear_mask(b, n)
+    for op in ops:
+        conflicts |= _bits.xor_permute(table ^ op.diagonal_table, 1 << (op.i - 1), n) ^ table
+    for b in first:  # each conflict down to its coset's label without flip bits
+        conflicts = (conflicts | conflicts >> (1 << b)) & _bits.axis_clear_mask(b, n)
+    return (1 << (n - len(first))) - conflicts.bit_count()
+
+
 def uniqueness_check(
     h: Hypergraph,
     probes: int = 20,
@@ -336,46 +381,20 @@ def uniqueness_check(
     state: StateVector | None = None,
     ops: list[StabilizerOperator] | None = None,
 ) -> bool:
-    """Certify that the joint +1 eigenspace of the correlation operators is
-    one-dimensional: random probes projected through all (I + K_i)/2 must
-    land parallel to the built state.
-
-    ``state`` and ``ops`` default to build_state(h) and the stabilizers of
-    every vertex; pass them to reuse ones already built.
-    """
-    return bool(_probe_verdicts(h, probes, seed, state, ops).all())
-
-
-def _probe_verdicts(
-    h: Hypergraph,
-    probes: int,
-    seed: int,
-    state: StateVector | None,
-    ops: list[StabilizerOperator] | None,
-) -> np.ndarray:
-    """Per probe: True iff its projection vanishes or is parallel to the state.
-
-    All probes are projected at once, as the columns of one 2**n x probes
-    matrix; they are drawn from the seeded generator one after another.
+    """Exact certificate that the state spans the joint +1 eigenspace of the
+    correlation operators: joint_dimension is 1 and every operator fixes the
+    state's sign table.  ``state`` (sign backend) and ``ops`` default to
+    build_state(h) and every vertex's stabilizer; pass them to reuse ones
+    already built.  ``probes`` and ``seed`` do not affect the result.
     """
     if h.n > MAX_UNIQUENESS_QUBITS:
         raise ValueError(f"uniqueness check is capped at n={MAX_UNIQUENESS_QUBITS}")
-    rng = np.random.default_rng(seed)
-    target = (state if state is not None else build_state(h)).dense_array()
-    if ops is None:
-        ops = [stabilizer(h, i) for i in range(1, h.n + 1)]
-    v = np.empty((1 << h.n, probes), dtype=complex)
-    for j in range(probes):
-        v[:, j] = random_state(h.n, rng).amps
-    for op in ops:  # v <- (v + K v) / 2, written into the fresh array K v
-        projected = _apply_stabilizer_raw(v, op)
-        projected += v
-        projected *= 0.5
-        v = projected
-    norms = np.linalg.norm(v, axis=0)
-    overlaps = target.conj() @ v
-    residuals = np.linalg.norm(v - target[:, None] * overlaps, axis=0)
-    return (norms <= ATOL_NORM) | (residuals <= ATOL_EQUAL * norms)
+    s = state if state is not None else build_state(h)
+    if s.backend != "sign":
+        raise ValueError("uniqueness_check needs the exact sign backend")
+    ops = ops if ops is not None else [stabilizer(h, i) for i in range(1, h.n + 1)]
+    fixed = all(apply_stabilizer(s, op).signs == s.signs for op in ops)
+    return fixed and joint_dimension(ops, h.n) == 1
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from hgsim import boolfn, cli, entanglement, hypergraph, orbits, statesim
 
 GROVER3 = "n 3\ne 1 2 3\n"
@@ -262,6 +263,47 @@ def test_verify_names_the_label_of_a_failing_commutator(grover_graph, monkeypatc
     worst = max(statesim.commutator_residual(first, wrong, p) for p in probes)
     assert f"commutator 1 2 residual {worst:.12g}" in out.splitlines()
     assert "commutator 1 3 residual 0" in out.splitlines()
+
+
+N11_GRAPH = hypergraph.serialize(helpers.random_hypergraph(11, np.random.default_rng(11)))
+
+
+@pytest.mark.parametrize("graph", [cli.SEVEN_VERTEX, N11_GRAPH], ids=["seven", "n11"])
+def test_verify_draws_no_probe_when_every_pair_commutes(graph, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "g.gr"
+    path.write_text(graph)
+
+    def no_probes(n, rng):
+        raise AssertionError("verify drew a random probe")
+
+    monkeypatch.setattr(statesim, "random_state", no_probes)
+    code, out, err = run_cli(["verify", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("uniqueness pass\n")
+
+
+def test_main_reuses_one_parser_and_prints_as_a_fresh_process(grover_graph, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    calls = [["verify", grover_graph], ["verify"], ["dot", grover_graph, "--seed", "x"]]
+
+    def in_process(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh(argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "hgsim", *argv], capture_output=True, text=True
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    want = [fresh(argv) for argv in calls]
+    assert [code for code, _, _ in want] == [0, 2, 2]
+    assert [in_process(argv) for argv in calls + calls] == want + want
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("command", ["extract", "entangle"])

@@ -354,18 +354,30 @@ def test_commutation_witness_rejects_mixed_sizes():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, hypergraph.MAX_VERTICES).flatmap(lambda n: operators(n, max_tuples=40)))
-def test_operator_text_and_tuples_are_the_vertex_tuple_renderings(op):
-    def vertices(m):
+@given(st.integers(1, hypergraph.MAX_VERTICES).flatmap(
+    lambda n: st.lists(operators(n, max_tuples=40), min_size=1, max_size=5)
+))
+def test_operator_text_and_tuples_are_the_vertex_tuple_renderings(ops):
+    def vertices(op, m):
         return [v for v in range(1, op.n + 1) if (m >> (v - 1)) & 1]
 
-    want = [f"X{op.i}"] + [
-        f"C{m.bit_count()}Z({','.join(map(str, vertices(m)))})"
-        for m in helpers.vertex_tuple_sorted(op.masks)
-    ]
-    assert str(op) == " ".join(want)
-    assert op.tuples == frozenset(frozenset(vertices(m)) for m in op.masks)
-    assert StabilizerOperator(op.n, op.i, op.tuples) == op
+    def text(op):
+        return " ".join([f"X{op.i}"] + [
+            f"C{m.bit_count()}Z({','.join(map(str, vertices(op, m)))})"
+            for m in helpers.vertex_tuple_sorted(op.masks)
+        ])
+
+    assert statesim.operator_texts(ops) == [text(op) for op in ops]
+    for op in ops:
+        assert str(op) == text(op)
+        assert op.tuples == frozenset(frozenset(vertices(op, m)) for m in op.masks)
+        assert StabilizerOperator(op.n, op.i, op.tuples) == op
+
+
+def test_operator_texts_of_no_operators_and_of_mixed_sizes():
+    assert statesim.operator_texts([]) == []
+    with pytest.raises(ValueError):
+        statesim.operator_texts([StabilizerOperator(2, 1), StabilizerOperator(3, 1)])
 
 
 def test_operator_rejects_masks_out_of_range():
@@ -385,21 +397,66 @@ def test_stabilizer_masks_are_the_neighbourhood():
     assert op.tuples == hypergraph.neighbourhood(SEVEN, 4)
 
 
-# ------------------------------------------------------ batched uniqueness
+# ------------------------------------------------------ exact uniqueness
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(0, n), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)
 )))
-def test_batched_uniqueness_matches_the_per_probe_loop(case):
+def test_exact_uniqueness_matches_the_per_probe_loop(case):
     n, dropped, graph_seed, probe_seed = case  # dropped: vertex left out, 0 for none
     h = helpers.random_hypergraph(n, np.random.default_rng(graph_seed))
     ops = [statesim.stabilizer(h, i) for i in range(1, n + 1) if i != dropped]
-    batched = statesim._probe_verdicts(h, 20, probe_seed, None, ops)
-    assert batched.tolist() == helpers.loop_uniqueness_verdicts(h, 20, probe_seed, ops)
-    assert statesim.uniqueness_check(h, seed=probe_seed, ops=ops) == all(batched)
-    assert all(batched) == (dropped == 0)
+    unique = statesim.uniqueness_check(h, seed=probe_seed, ops=ops)
+    assert unique == all(helpers.loop_uniqueness_verdicts(h, 20, probe_seed, ops)) == (dropped == 0)
+
+
+@st.composite
+def operator_lists(draw):
+    """(n, ops) at n <= 5: stabilizers of two random graphs, each possibly
+    dropped or repeated, mixed with random operators, in any order; often
+    several operators share a flip vertex, and the list may be empty."""
+    n = draw(st.integers(1, 5))
+    graphs = [
+        helpers.random_hypergraph(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        for _ in range(2)
+    ]
+    own = [statesim.stabilizer(h, i) for h in graphs for i in range(1, n + 1)]
+    picked = draw(st.lists(st.sampled_from(own), max_size=2 * n))
+    foreign = draw(st.lists(operators(n), max_size=n))
+    return n, draw(st.permutations(picked + foreign))
+
+
+@PROPERTY
+@given(operator_lists())
+def test_joint_dimension_is_the_dense_null_space_dimension(case):
+    n, ops = case
+    eye = np.eye(1 << n)
+    stacked = np.vstack([np.zeros((1, 1 << n))] + [helpers.stabilizer_matrix(op) - eye for op in ops])
+    assert statesim.joint_dimension(ops, n) == (1 << n) - np.linalg.matrix_rank(stacked)
+
+
+def test_joint_dimension_rejects_mixed_sizes():
+    with pytest.raises(ValueError):
+        statesim.joint_dimension([StabilizerOperator(2, 1)], 3)
+
+
+ONE_VERTEX = Hypergraph.from_sets(1, [{1}])
+X1, MINUS_X1 = StabilizerOperator(1, 1), StabilizerOperator(1, 1, [()])
+
+
+def test_uniqueness_fails_on_an_empty_joint_space():
+    # X1 and -X1 share no +1 vector; a projected probe vanishes, so no probe can tell
+    assert statesim.joint_dimension([X1, MINUS_X1], 1) == 0
+    assert not statesim.uniqueness_check(ONE_VERTEX, ops=[X1, MINUS_X1])
+
+
+def test_uniqueness_needs_the_state_in_the_joint_space():
+    # |-> spans the +1 space of -X1; X1's one-dimensional +1 space misses it
+    assert statesim.joint_dimension([X1], 1) == statesim.joint_dimension([MINUS_X1], 1) == 1
+    assert not statesim.uniqueness_check(ONE_VERTEX, ops=[X1])
+    assert statesim.uniqueness_check(ONE_VERTEX, ops=[MINUS_X1])
 
 
 @pytest.mark.parametrize("graph", [TRIANGLE, FIG4, SEVEN])
