@@ -5,7 +5,9 @@ label x, 0 <= x < 2**n.  Vertex/qubit i (1-based) occupies bit i-1 of a
 label, so vertex subsets double as label masks.  The transforms are pure
 integer arithmetic; conversion between a table and one byte per label
 (``unpack``/``pack``) goes through numpy's bit packing, which copies bits
-and is therefore exact as well.
+and is therefore exact as well.  For n <= 6 a table fits one uint64 word,
+and ``butterfly`` and ``xor_permute`` act element-wise on uint64 arrays of
+such words.
 
 One kernel per job: edges -> table is ``table_from_edges`` (a C^kZ gate, a
 local Z and a Z word, ``parity_mask``, are tables of one or more edges);
@@ -46,10 +48,11 @@ def butterfly(table: int, n: int) -> int:
     """Self-inverse subset-XOR transform: output bit x = XOR of input over y <= x bitwise.
 
     Applied to an edge-set indicator it yields the parity-of-covered-edges
-    table; applied twice it returns the input.
+    table; applied twice it returns the input.  Rebinds, never updates in
+    place, so a uint64 array argument is left as it was.
     """
     for i in range(n):
-        table ^= (table & axis_clear_mask(i, n)) << (1 << i)
+        table = table ^ (table & axis_clear_mask(i, n)) << (1 << i)
     return table
 
 

@@ -116,7 +116,7 @@ def to_text(tt: TruthTable) -> str:
 
 
 def mobius_transform(tt: TruthTable) -> MonomialSet:
-    """The unique XOR-monomial form of a table, via the in-place XOR butterfly.
+    """The unique XOR-monomial form of a table, via the self-inverse XOR butterfly.
 
     The transform is its own inverse; the constant comes out as the entry at
     label 0, i.e. f(0).

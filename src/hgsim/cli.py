@@ -121,13 +121,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     h = _load_graph(_read(args.graph))
     state = statesim.build_state(h)
     ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
-    ok = True
     for op, text in zip(ops, statesim.operator_texts(ops)):
         print(f"stabilizer {op.i} {text}")
+    all_fixed = True
     for op in ops:
         fixed = statesim.apply_stabilizer(state, op).signs == state.signs
-        ok &= fixed
+        all_fixed &= fixed
         print(f"stabilized {op.i} {'pass' if fixed else 'fail'}")
+    ok = all_fixed
     probes = None  # drawn from the seed only if some pair fails the exact check
     for a in range(len(ops)):
         for b in range(a + 1, len(ops)):
@@ -146,7 +147,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
             print(f"commutator {a + 1} {b + 1} residual {worst:.12g}")
     if h.n <= statesim.MAX_UNIQUENESS_QUBITS:
-        unique = statesim.uniqueness_check(h, seed=args.seed, state=state, ops=ops)
+        # uniqueness_check's verdict from the fixes already printed
+        unique = all_fixed and statesim.joint_dimension(ops, h.n) == 1
         ok &= unique
         print(f"uniqueness {'pass' if unique else 'fail'}")
     else:
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entangle)
 
     p = sub.add_parser("orbit", parents=[common], help="local-Pauli class inequivalence")
-    sizes = " or ".join(map(str, orbits.REPORT_QUBITS))
+    sizes = f"{orbits.REPORT_QUBITS[0]}..{orbits.REPORT_QUBITS[-1]}"
     p.add_argument(
         "--n", type=int, choices=orbits.REPORT_QUBITS, required=True, help=f"qubit count: {sizes}"
     )

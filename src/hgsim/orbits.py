@@ -1,29 +1,36 @@
-"""Exhaustive local-Pauli orbits of equally weighted states.
+"""Local-Pauli orbits of equally weighted states, from translates and ANFs.
 
 Local X, Y, Z map a +-1 sign pattern to another sign pattern times a global
 phase from {+-1, +-i} (Y = iXZ), so orbits are computed exactly on sign
-tables: each Pauli word splits into a Z part (a parity table XOR) and an X
-part (a label relabeling), and the phase is quotiented away by the
-canonical key.  A key normalizes the sign at label 0 to plus, which removes
-exactly the {+-1, +-i} ambiguity.
+tables.  Up to that phase, the Pauli word with X part a and Z part z maps a
+table f to f(x ^ a) ^ <z, x>: a translate of f plus a linear function.  A
+key normalizes the sign at label 0 to plus, which removes exactly the
+{+-1, +-i} ambiguity.
 
-The inequivalence report brute-forces the claim that states of different
-uniform edge order are never connected by local Paulis (the empty graph
-aside, which is why only nonempty edge sets are compared).
+So two tables share an orbit iff some translate of one has the same
+degree->=2 ANF (its hyperedges of order >= 2) as the other: the linear
+part and the constant are free.  An orbit holds 2**n keys per distinct
+such ANF among the 2**n translates.  The inequivalence report -- states of
+different uniform edge order are never connected by local Paulis (the
+empty graph aside, which is why only nonempty edge sets are compared) --
+needs only those translate ANFs, never the 4**n words.  Tables of n <= 6
+qubits fit one uint64 word, and the ``_bits`` kernels act element-wise on
+uint64 arrays, so every state and every translate is one array element.
+The 4**n-word loop stays in the tests as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import _bits
 from .statesim import StateVector
 
-REPORT_QUBITS = (3, 4)  # the qubit counts of the inequivalence report
-MAX_QUBITS = REPORT_QUBITS[-1]  # orbit enumeration cap
+REPORT_QUBITS = (3, 4, 5, 6)  # the qubit counts of the inequivalence report
+MAX_QUBITS = 4  # orbit enumeration cap: an orbit has up to 4**n keys
+_CHUNK_EDGES = 10  # the report spans 2**10 states per array (512 KB at n = 6)
 _REW_ATOL = 1e-9
 
 
@@ -50,47 +57,55 @@ class OrbitKey:
         return cls(s.n, _canonical(_bits.pack(flat.real < 0), s.n))
 
 
-def _canonical(table: int, n: int) -> int:
-    return table ^ _bits.full_mask(n) if table & 1 else table
+def _canonical(table, n: int):
+    """Every sign flipped when the sign at label 0 is minus (ints or uint64 words)."""
+    return table ^ _bits.full_mask(n) * (table & 1)
 
 
-@lru_cache(maxsize=None)
-def _parity_tables(n: int) -> tuple[int, ...]:
-    """The sign flip of every Z word, indexed by its mask."""
-    return tuple(_bits.parity_mask(z, n) for z in range(1 << n))
+def _span(gens: np.ndarray) -> np.ndarray:
+    """XOR of every subset of the uint64 columns (last axis) of gens: column j
+    of the result XORs the columns i with bit i of j set."""
+    out = np.zeros(gens.shape[:-1] + (1,), dtype=np.uint64)
+    for i in range(gens.shape[-1]):
+        out = np.concatenate((out, out ^ gens[..., i : i + 1]), axis=-1)
+    return out
 
 
-def _table_orbit(table: int, n: int) -> frozenset[int]:
-    """Canonical tables reachable by all 4**n local Pauli words."""
-    out = set()
-    for parity in _parity_tables(n):
-        flipped = table ^ parity
-        for x_mask in range(1 << n):
-            out.add(_canonical(_bits.xor_permute(flipped, x_mask, n), n))
-    return frozenset(out)
+def _translates(tables: np.ndarray, n: int) -> np.ndarray:
+    """uint64 tables relabeled by x -> x ^ a, stacked along a new first axis a."""
+    out = tables[None]
+    for i in range(n):
+        out = np.concatenate((out, _bits.xor_permute(out, 1 << i, n)))
+    return out
+
+
+def _edge_tables(n: int, k: int) -> np.ndarray:
+    """uint64 sign tables of the single k-vertex edges, in label order."""
+    edges = _bits.set_bits(_bits.weight_mask(n, k))
+    return np.array([_bits.table_from_edges([e], n) for e in edges], dtype=np.uint64)
+
+
+def _uniform_state_tables(n: int, k: int) -> np.ndarray:
+    """Sign tables (uint64, n <= 6) of the states the report counts at order k:
+    every nonempty k-uniform edge set.  Tables of distinct edges add by XOR,
+    so entry j - 1 is the span's column j (bit i of j picks the i-th edge)."""
+    return _span(_edge_tables(n, k))[1:]
 
 
 def local_pauli_orbit(s: StateVector) -> set[OrbitKey]:
-    """Keys of P_1 x ... x P_n applied to s, over all 4**n Pauli choices.
+    """Keys of P_1 x ... x P_n applied to s, over all 4**n Pauli choices:
+    every translate of the key's table XOR every linear table.
 
     Words with Y factors duplicate the keys of the matching XZ words (they
-    differ by a phase of i per Y), so iterating X/Z parts covers all 4**n
-    products.
+    differ by a phase of i per Y), so X/Z parts cover all 4**n products.
     """
     if s.n > MAX_QUBITS:
         raise ValueError(f"orbit enumeration is capped at n={MAX_QUBITS}")
-    base = OrbitKey.from_state(s)
-    return {OrbitKey(s.n, t) for t in _table_orbit(base.table, s.n)}
-
-
-def _uniform_state_tables(n: int, k: int) -> list[int]:
-    """Sign tables of every state with a nonempty k-uniform edge set; tables of
-    distinct edges add by XOR, so each edge doubles the list."""
-    tables = [0]
-    for edge in _bits.set_bits(_bits.weight_mask(n, k)):
-        gate = _bits.table_from_edges([edge], n)
-        tables += [t ^ gate for t in tables]
-    return tables[1:]
+    n = s.n
+    base = np.array([OrbitKey.from_state(s).table], dtype=np.uint64)
+    axes = np.array([_bits.parity_mask(1 << i, n) for i in range(n)], dtype=np.uint64)
+    words = _translates(base, n) ^ _span(axes)
+    return {OrbitKey(n, t) for t in np.unique(_canonical(words, n)).tolist()}
 
 
 @dataclass
@@ -120,20 +135,45 @@ class InequivalenceReport:
 
 
 def class_inequivalence_report(n: int) -> InequivalenceReport:
-    """Check every nonempty uniform state's orbit against every other order."""
+    """Check every nonempty uniform state's orbit against every other order.
+
+    A state of order k meets the nonempty k'-uniform states iff one of its
+    translates has a degree->=2 ANF that is 0 (k' = 1), or nonempty and of
+    order k' alone (k' >= 2).  Translation acts on those ANFs, so the
+    translates fixing a state's ANF number 2**n / (distinct ANFs), and its
+    orbit holds 4**n / that many keys.
+    """
     if n not in REPORT_QUBITS:
         raise ValueError(f"inequivalence report is defined for n in {set(REPORT_QUBITS)}")
     report = InequivalenceReport(n)
-    tables = {k: _uniform_state_tables(n, k) for k in range(1, n + 1)}
-    members = {k: frozenset(ts) for k, ts in tables.items()}  # already canonical
-    orbits = {k: [_table_orbit(t, n) for t in tables[k]] for k in range(1, n + 1)}
+    high = _bits.full_mask(n) & ~_bits.weight_mask(n, 0) & ~_bits.weight_mask(n, 1)
+    outside = {kp: np.uint64(high & ~_bits.weight_mask(n, kp)) for kp in range(2, n + 1)}
     for k in range(1, n + 1):
-        sizes = [len(o) for o in orbits[k]]
-        report.state_counts[k] = len(tables[k])
-        report.orbit_sizes[k] = (min(sizes), max(sizes))
-        for kp in range(1, n + 1):
-            if kp == k:
-                continue
-            hits = sum(1 for orbit in orbits[k] if orbit & members[kp])
-            report.pair_violations[(k, kp)] = hits
+        others = [kp for kp in range(1, n + 1) if kp != k]
+        hits = dict.fromkeys(others, 0)
+        fixing = []
+        # Translation and the butterfly are XOR-linear, so the translate
+        # ANFs of a state (a column, one row per translate) are the XOR of
+        # its edges' columns.  A chunk of states is the span of the first
+        # _CHUNK_EDGES edges XOR one element of the span of the rest.
+        anfs = _bits.butterfly(_translates(_edge_tables(n, k), n), n) & np.uint64(high)
+        block = _span(anfs[:, :_CHUNK_EDGES])
+        offsets = _span(anfs[:, _CHUNK_EDGES:])
+        for c in range(offsets.shape[1]):
+            chunk = block ^ offsets[:, c : c + 1]
+            if c == 0:
+                chunk = chunk[:, 1:]  # the empty edge set
+            fixing.append(np.count_nonzero(chunk == chunk[0], axis=0))
+            nonzero = chunk != 0
+            for kp in others:
+                if kp == 1:
+                    hit = ~nonzero.all(axis=0)
+                else:
+                    hit = (nonzero & ((chunk & outside[kp]) == 0)).any(axis=0)
+                hits[kp] += int(np.count_nonzero(hit))
+        fixing = np.concatenate(fixing)
+        report.state_counts[k] = len(fixing)
+        report.orbit_sizes[k] = (4**n // int(fixing.max()), 4**n // int(fixing.min()))
+        for kp in others:
+            report.pair_violations[(k, kp)] = hits[kp]
     return report

@@ -8,6 +8,7 @@ gate application.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -188,6 +189,26 @@ def loop_parity_mask(z_mask: int, n: int) -> int:
         if (z_mask >> i) & 1:
             mask ^= loop_axis_set_mask(i, n)
     return mask
+
+
+@lru_cache(maxsize=None)
+def parity_tables(n: int) -> tuple[int, ...]:
+    """The sign flip of every Z word, indexed by its mask."""
+    return tuple(loop_parity_mask(z, n) for z in range(1 << n))
+
+
+def loop_table_orbit(table: int, n: int) -> frozenset[int]:
+    """Canonical tables reachable by all 4**n local Pauli words, one word at a
+    time: the X part relabels the table, the Z part XORs a parity table, and
+    the sign at label 0 is set to plus."""
+    full = (1 << (1 << n)) - 1
+    out = set()
+    for x_mask in range(1 << n):
+        moved = _bits.xor_permute(table, x_mask, n)
+        for parity in parity_tables(n):
+            word = moved ^ parity
+            out.add(word ^ full if word & 1 else word)
+    return frozenset(out)
 
 
 def loop_bipartition_masks(n: int) -> list[int]:

@@ -110,12 +110,12 @@ def test_criterion_05_uniqueness_sweep():
 
 def test_criterion_06_class_inequivalence():
     start = time.perf_counter()
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         report = orbits.class_inequivalence_report(n)
         assert report.total_violations == 0
         assert all(v == 0 for v in report.pair_violations.values())
     elapsed = time.perf_counter() - start
-    _report(6, "no cross-order local-Pauli connections at n=3,4", elapsed, 60.0)
+    _report(6, "no cross-order local-Pauli connections at n=3..6", elapsed, 60.0)
 
 
 def test_criterion_07_connected_graph_bound():

@@ -186,7 +186,7 @@ def test_missing_file_exits_2(capsys):
 
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
-        cli.main(["orbit", "--n", "5"])
+        cli.main(["orbit", "--n", str(max(orbits.REPORT_QUBITS) + 1)])
     assert info.value.code == 2
 
 
@@ -265,6 +265,32 @@ def test_verify_names_the_label_of_a_failing_commutator(grover_graph, monkeypatc
     assert "commutator 1 3 residual 0" in out.splitlines()
 
 
+@pytest.mark.parametrize("swap", ["none", "other graph", "repeated"])
+def test_verify_applies_each_operator_once_for_the_library_verdict(
+    grover_graph, swap, monkeypatch, capsys
+):
+    # another graph's operators span a 1-dimensional space without this
+    # state; repeating K1 fixes the state but leaves a 4-dimensional space
+    real, apply = statesim.stabilizer, statesim.apply_stabilizer
+    other = hypergraph.Hypergraph.from_sets(3, [{1, 2}])
+    pick = {
+        "none": real,
+        "other graph": lambda h, i: real(other, i),
+        "repeated": lambda h, i: real(h, 1),
+    }[swap]
+    monkeypatch.setattr(statesim, "stabilizer", pick)
+    applied = []
+    monkeypatch.setattr(statesim, "apply_stabilizer", lambda s, op: applied.append(op) or apply(s, op))
+    code, out, _ = run_cli(["verify", grover_graph], capsys)
+    h = hypergraph.parse(GROVER3)
+    ops = [pick(h, i) for i in range(1, 4)]
+    assert applied == ops
+    unique = statesim.uniqueness_check(h, ops=ops)
+    assert unique == (swap == "none")
+    assert out.endswith(f"uniqueness {'pass' if unique else 'fail'}\n")
+    assert code == (0 if unique else 1)
+
+
 N11_GRAPH = hypergraph.serialize(helpers.random_hypergraph(11, np.random.default_rng(11)))
 
 
@@ -339,7 +365,7 @@ EDGE_COUNTS = sorted({
     boolfn.MAX_QUBITS + 1,
     statesim.MAX_UNIQUENESS_QUBITS + 1,
     entanglement.MAX_QUBITS + 1,
-    min(orbits.REPORT_QUBITS) - 1, orbits.MAX_QUBITS + 1,
+    min(orbits.REPORT_QUBITS) - 1, orbits.MAX_QUBITS + 1, max(orbits.REPORT_QUBITS) + 1,
 })
 FILE_COMMANDS = [
     ["build"], ["verify"], ["dot"], ["classify"], ["classify", "--table"], ["entangle"],

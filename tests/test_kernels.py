@@ -235,12 +235,35 @@ def test_bipartition_masks_match_filter_and_sort(n):
     assert entanglement.bipartition_masks(n) == helpers.loop_bipartition_masks(n)
 
 
-@pytest.mark.parametrize("n", range(1, orbits.MAX_QUBITS + 1))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_uniform_state_tables_match_combinations(n):
     for k in range(1, n + 1):
-        got = orbits._uniform_state_tables(n, k)
+        got = orbits._uniform_state_tables(n, k).tolist()
         want = helpers.loop_uniform_state_tables(n, k)
         assert len(got) == len(set(got)) == len(want) and set(got) == set(want)
+
+
+@st.composite
+def word_arrays(draw):
+    """(n, tables, flip): 2**n-bit tables for n <= 6, one uint64 word each."""
+    n = draw(st.integers(1, 6))
+    words = draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=1, max_size=20))
+    return n, words, draw(st.integers(0, (1 << n) - 1))
+
+
+@PROPERTY
+@given(word_arrays())
+def test_kernels_on_uint64_words_match_the_int_kernels(case):
+    # element-wise equal, and the argument array is left as it was
+    # (xor_permute by 0 returns its argument, so a butterfly in place after
+    # it would clobber the caller's tables)
+    n, words, flip = case
+    arr = np.array(words, dtype=np.uint64)
+    for kernel, args in ((_bits.butterfly, (n,)), (_bits.xor_permute, (flip, n))):
+        got = kernel(arr, *args)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [kernel(w, *args) for w in words]
+        assert arr.tolist() == words
 
 
 @PROPERTY

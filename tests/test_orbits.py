@@ -1,14 +1,32 @@
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
 
 import helpers
 import invariant_suite
-from hgsim import orbits, statesim
+from hgsim import _bits, extract, orbits, statesim
+from hgsim.boolfn import TruthTable
 from hgsim.hypergraph import Hypergraph
 from hgsim.orbits import OrbitKey
 from hgsim.statesim import StateVector
+
+
+def loop_report(n: int, state_tables) -> orbits.InequivalenceReport:
+    """The inequivalence report from the 4**n-word orbit of every state in
+    state_tables[k], met against the uniform states of each other order."""
+    report = orbits.InequivalenceReport(n)
+    members = {k: frozenset(helpers.loop_uniform_state_tables(n, k)) for k in range(1, n + 1)}
+    for k, tables in state_tables.items():
+        found = [helpers.loop_table_orbit(t, n) for t in tables]
+        sizes = [len(o) for o in found]
+        report.state_counts[k] = len(tables)
+        report.orbit_sizes[k] = (min(sizes), max(sizes))
+        for kp in range(1, n + 1):
+            if kp != k:
+                report.pair_violations[(k, kp)] = sum(1 for o in found if o & members[kp])
+    return report
 
 
 def dense_orbit(s: StateVector) -> set[OrbitKey]:
@@ -47,7 +65,7 @@ def test_orbit_matches_dense_oracle_on_random_states():
 def test_single_minus_orbit_avoids_plain_graph_states():
     s = statesim.build_state(Hypergraph.from_sets(3, [{1, 2, 3}]))
     orbit = orbits.local_pauli_orbit(s)
-    two_uniform = set(orbits._uniform_state_tables(3, 2))
+    two_uniform = set(orbits._uniform_state_tables(3, 2).tolist())
     assert all(key.table not in two_uniform for key in orbit)
 
 
@@ -92,8 +110,82 @@ def test_inequivalence_report_n4_counts():
 
 
 def test_inequivalence_report_rejects_other_sizes():
-    with pytest.raises(ValueError):
-        orbits.class_inequivalence_report(5)
+    for n in (min(orbits.REPORT_QUBITS) - 1, max(orbits.REPORT_QUBITS) + 1):
+        with pytest.raises(ValueError):
+            orbits.class_inequivalence_report(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_inequivalence_report_matches_the_word_loop(n):
+    # every nonempty uniform state, 2,109 of them at n = 5
+    states = {k: helpers.loop_uniform_state_tables(n, k) for k in range(1, n + 1)}
+    assert orbits.class_inequivalence_report(n) == loop_report(n, states)
+
+
+def test_inequivalence_verdicts_match_the_word_loop_on_planted_edges(monkeypatch):
+    # mixed-order generators in place of each order's edges, so that states
+    # do meet other orders and the verdicts are not all 0; two edges per
+    # chunk, so the span is split into several
+    rng = np.random.default_rng(2014)
+    monkeypatch.setattr(orbits, "_CHUNK_EDGES", 2)
+    seen = 0
+    for n in (3, 4, 4, 5, 5):
+        planted = {
+            k: rng.choice(np.arange(1, 1 << n), size=int(rng.integers(1, 7)), replace=False)
+            for k in range(1, n + 1)
+        }
+        monkeypatch.setattr(orbits, "_edge_tables", lambda n, k: np.array(
+            [helpers.loop_table_from_edges([int(e)], n) for e in planted[k]], dtype=np.uint64
+        ))
+        states = {
+            k: [
+                helpers.loop_table_from_edges([int(e) for j, e in enumerate(es) if p >> j & 1], n)
+                for p in range(1, 1 << len(es))
+            ]
+            for k, es in planted.items()
+        }
+        report = orbits.class_inequivalence_report(n)
+        assert report == loop_report(n, states)
+        seen += report.total_violations
+    assert seen > 0
+
+
+def test_inequivalence_report_n6_counts_and_orbit_sizes():
+    report = orbits.class_inequivalence_report(6)
+    assert report.state_counts == {k: (1 << comb(6, k)) - 1 for k in range(1, 7)}
+    assert report.orbit_sizes == {
+        1: (64, 64), 2: (64, 64), 3: (512, 4096), 4: (1024, 4096), 5: (2048, 4096), 6: (4096, 4096),
+    }
+    assert report.total_violations == 0
+    assert len(report.pair_violations) == 30
+    # a seeded sample of states has word-loop orbits inside the reported range
+    rng = np.random.default_rng(6)
+    for k in range(1, 7):
+        tables = orbits._uniform_state_tables(6, k)
+        lo, hi = report.orbit_sizes[k]
+        for t in rng.choice(tables, size=min(4, len(tables)), replace=False).tolist():
+            assert lo <= len(helpers.loop_table_orbit(t, 6)) <= hi
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_single_minus_state_is_the_full_edge_translated(n):
+    # the Grover oracle marking w flips the sign of label w alone; its edges
+    # are every superset of w, and X on the zero bits of w carries it to the
+    # one n-vertex edge
+    full = (1 << n) - 1
+    full_edge = statesim.build_state(Hypergraph(n, frozenset({full})))
+    for w in range(1, 1 << n):
+        marked = StateVector.sign_state(n, 1 << w)
+        edges = extract.extract_fast(TruthTable(n, 1 << w)).edges
+        assert edges == {s for s in range(1, 1 << n) if s & w == w}
+        moved = marked
+        for v in _bits.mask_bits(full & ~w, 1):
+            moved = statesim.apply_local_pauli(moved, v, "X")
+        assert moved.signs == full_edge.signs
+        if n <= orbits.MAX_QUBITS:
+            orbit = orbits.local_pauli_orbit(marked)
+            assert OrbitKey.from_state(full_edge) in orbit
+            assert orbit == orbits.local_pauli_orbit(full_edge)
 
 
 def test_invariant_suite():
