@@ -13,8 +13,9 @@ One kernel per job: edges -> table is ``table_from_edges`` (a C^kZ gate, a
 local Z and a Z word, ``parity_mask``, are tables of one or more edges);
 table -> set labels is ``set_bits``; label mask -> bits or vertices is
 ``mask_bits``; the labels of weight k (k-uniform edge slots, bipartition
-sides) are ``set_bits(weight_mask(n, k))``; a set of masks is range-checked
-by ``first_bad_mask``.
+sides) are ``set_bits(weight_mask(n, k))``; the labels a cut's side and its
+complement span are ``deposit``; a set of masks is range-checked by
+``first_bad_mask``.
 """
 
 from __future__ import annotations
@@ -110,6 +111,24 @@ def set_bits(table: int) -> list[int]:
 def mask_bits(mask: int, first: int = 0) -> list[int]:
     """first + i for each set bit i of a label mask, ascending (first=1: vertices)."""
     return [first + i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def deposit(masks: Collection[int] | np.ndarray, width: int) -> np.ndarray:
+    """out[j, r] = bit t of r put on the t-th lowest set bit of masks[j], for
+    r < 2**width; each mask has at least ``width`` set bits.
+
+    int16 while every mask is below 2**15, as every label is for n <= 15
+    (the entanglement sweep's cap is 12); int64 past that.  One doubling per
+    bit: columns 2**t..2**(t+1)-1 are columns 0..2**t-1 plus the t-th bit.
+    """
+    rest = np.array(masks, dtype=np.int64)  # a copy: updated below
+    dtype = np.int16 if np.all(rest < 1 << 15) else np.int64
+    out = np.zeros((len(rest), 1 << width), dtype=dtype)
+    for t in range(width):
+        low = rest & -rest
+        out[:, 1 << t:2 << t] = out[:, :1 << t] | low.astype(dtype)[:, None]
+        rest ^= low
+    return out
 
 
 def first_bad_mask(masks: Collection[int], allowed: int, empty_ok: bool = True) -> int | None:

@@ -12,6 +12,7 @@ optimizer that lower-bounds the best overlap with a *fully product* state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -20,36 +21,25 @@ from .statesim import DEFAULT_SEED, StateVector, _signs_to_pm1
 
 MAX_QUBITS = 12
 ATOL_HERMITIAN = 1e-10
-ATOL_LAMBDA = 1e-10
 SWEEP_TOL = 1e-12
-
-
-def _subsystem_matrix(psi: np.ndarray, n: int, qubits: list[int]) -> np.ndarray:
-    """Reshape amplitudes into (subsystem labels) x (environment labels).
-
-    Row index r encodes the j-th smallest kept qubit at bit j-1, matching
-    the global label convention.
-    """
-    rest = [q for q in range(1, n + 1) if q not in qubits]
-    # axis of qubit q in the [2]*n tensor is n - q (axis 0 = most significant)
-    order = [n - q for q in sorted(qubits, reverse=True)] + [
-        n - q for q in sorted(rest, reverse=True)
-    ]
-    return psi.reshape([2] * n).transpose(order).reshape(1 << len(qubits), -1)
+_BLOCK_ENTRIES = 1 << 14  # amplitudes gathered per block of cuts in the sweep
 
 
 def reduced_density(s: StateVector, subsystem) -> np.ndarray:
     """Partial trace onto a vertex subset; real symmetric for sign-backend states.
 
     Sign-backend entries are sums of +-1/2**n terms, all exactly
-    representable, so the trace is exactly 1.0 there.
+    representable, so the trace is exactly 1.0 there.  Row index r encodes
+    the j-th smallest kept qubit at bit j-1, matching the global label
+    convention.
     """
     qubits = sorted(set(subsystem))
     if not qubits or len(qubits) >= s.n:
         raise ValueError("subsystem must satisfy 1 <= |A| <= n-1")
-    if not all(1 <= q <= s.n for q in qubits):
+    if not all(isinstance(q, Integral) and 1 <= q <= s.n for q in qubits):
         raise ValueError(f"subsystem {qubits} out of range 1..{s.n}")
-    return _reduced_density(_entries(s), s, qubits)
+    rows, cols = _deposits([_bits.mask_from_vertices(qubits)], s.n, len(qubits))
+    return _grams(_entries(s), s, rows, cols)[0]
 
 
 def _entries(s: StateVector) -> np.ndarray:
@@ -57,14 +47,29 @@ def _entries(s: StateVector) -> np.ndarray:
     return _signs_to_pm1(s.signs, s.n) if s.backend == "sign" else s.amps
 
 
-def _reduced_density(entries: np.ndarray, s: StateVector, qubits: list[int]) -> np.ndarray:
-    """reduced_density on the array from _entries(s), for sorted valid qubits."""
-    m = _subsystem_matrix(entries, s.n, qubits)
+def _deposits(cuts, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the labels of each cut's side (k vertices) and of its
+    complement, so cut j's matrix entry (r, c) is at label rows[j, r] | cols[j, c]."""
+    cuts = np.asarray(cuts, dtype=np.int64)
+    return _bits.deposit(cuts, k), _bits.deposit(~cuts & ((1 << n) - 1), n - k)
+
+
+def _grams(entries: np.ndarray, s: StateVector, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The reduced density of each cut in a stack, from one gather."""
+    m = np.take(entries, rows[:, :, None] | cols[:, None, :])
     if s.backend == "sign":
-        # Gram matrix over raw +-1 entries, then one power-of-two division:
+        # Gram matrices over raw +-1 entries, then one power-of-two division:
         # every entry is a dyadic rational, computed without rounding.
-        return (m @ m.T) / s.dim
-    return m @ m.conj().T
+        return (m @ m.transpose(0, 2, 1)) / s.dim
+    return m @ m.conj().transpose(0, 2, 1)
+
+
+def _check_hermitian(matrices: np.ndarray) -> None:
+    """Raise unless every (stacked) matrix is finite and Hermitian within tolerance."""
+    if not np.isfinite(matrices).all():
+        raise ValueError("matrix is not finite")
+    if np.max(np.abs(matrices - np.swapaxes(matrices, -1, -2).conj())) > ATOL_HERMITIAN:
+        raise ValueError("matrix is not Hermitian within tolerance")
 
 
 def lambda_max(matrix: np.ndarray) -> float:
@@ -72,18 +77,20 @@ def lambda_max(matrix: np.ndarray) -> float:
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.max(np.abs(matrix - matrix.conj().T)) > ATOL_HERMITIAN:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    _check_hermitian(matrix)
     return float(np.linalg.eigvalsh(matrix)[-1])
+
+
+def _cut_classes(n: int):
+    """(k, the cuts with |A| = k) for k = 1..n//2, in bipartition_masks order."""
+    for k in range(1, n // 2 + 1):
+        side = _bits.set_bits(_bits.weight_mask(n, k))
+        yield k, [m for m in side if m & 1] if 2 * k == n else side
 
 
 def bipartition_masks(n: int) -> list[int]:
     """One vertex-mask per bipartition, by |A| <= n/2 (ties keep vertex 1), then mask."""
-    masks = []
-    for size in range(1, n // 2 + 1):
-        side = _bits.set_bits(_bits.weight_mask(n, size))
-        masks += [m for m in side if m & 1] if 2 * size == n else side
-    return masks
+    return [m for _, side in _cut_classes(n) for m in side]
 
 
 @dataclass(frozen=True)
@@ -108,15 +115,26 @@ class BipartitionReport:
 
 
 def genuine_multipartite_geometric(s: StateVector) -> BipartitionReport:
-    """Worst-cut report; the measure is 1 - max over cuts of lambda_max."""
+    """Worst-cut report; the measure is 1 - max over cuts of lambda_max.
+
+    The cuts of one size go in blocks of at most _BLOCK_ENTRIES amplitudes:
+    one gather, one stacked Gram and one eigvalsh per block.  Each block's
+    matrices are those reduced_density builds, so every lambda equals
+    lambda_max(reduced_density(s, A)).
+    """
     if s.n < 2:
         raise ValueError("entanglement needs at least two qubits")
     if s.n > MAX_QUBITS:
         raise ValueError(f"bipartition sweep is capped at n={MAX_QUBITS}")
     entries = _entries(s)
+    step = _BLOCK_ENTRIES >> s.n  # cuts per block, at least 4 under the cap
     cuts = []
-    for mask in bipartition_masks(s.n):
-        cuts.append((mask, lambda_max(_reduced_density(entries, s, _bits.mask_bits(mask, 1)))))
+    for k, side in _cut_classes(s.n):
+        rows, cols = _deposits(side, s.n, k)
+        for lo in range(0, len(side), step):
+            grams = _grams(entries, s, rows[lo:lo + step], cols[lo:lo + step])
+            _check_hermitian(grams)
+            cuts += zip(side[lo:lo + step], np.linalg.eigvalsh(grams)[:, -1].tolist())
     return BipartitionReport(s.n, tuple(cuts))
 
 

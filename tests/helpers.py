@@ -159,6 +159,14 @@ def loop_set_bits(table: int) -> list[int]:
     return out
 
 
+def loop_deposit(mask: int, width: int) -> list[int]:
+    """Label r -> bit t of r on the t-th lowest set bit of mask, for r < 2**width."""
+    positions = _bits.mask_bits(mask)[:width]
+    return [
+        sum(((r >> t) & 1) << p for t, p in enumerate(positions)) for r in range(1 << width)
+    ]
+
+
 def loop_mask_check(masks, n: int, clear: int = 0, empty_ok: bool = True):
     """The first mask outside 0..2**n - 1, sharing a bit with clear, or equal
     to 0 unless empty_ok, by testing every mask; None if there is none."""

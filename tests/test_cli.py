@@ -245,6 +245,15 @@ def test_verify_output_is_golden(graph, golden, tmp_path, capsys):
     assert run_cli(["verify", str(path)], capsys) == (0, (GOLDEN / golden).read_text(), "")
 
 
+def test_entangle_output_is_golden(tmp_path, capsys):
+    # n = 10: 511 cuts, the |A| = n/2 tie filter, size classes split across blocks
+    tt = helpers.random_table(10, np.random.default_rng(1010), normalized=True)
+    path = tmp_path / "t.tt"
+    path.write_text(boolfn.to_text(tt))
+    golden = (GOLDEN / "entangle_n10.txt").read_text()
+    assert run_cli(["entangle", str(path)], capsys) == (0, golden, "")
+
+
 def test_verify_names_the_label_of_a_failing_commutator(grover_graph, monkeypatch, capsys):
     # swap in an operator of another graph: X2 Z1 does not commute with X1 C2Z(2,3)
     real = statesim.stabilizer

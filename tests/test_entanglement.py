@@ -3,7 +3,7 @@ import pytest
 
 import helpers
 import invariant_suite
-from hgsim import entanglement, statesim
+from hgsim import _bits, entanglement, statesim
 from hgsim.hypergraph import Hypergraph
 from hgsim.statesim import StateVector
 
@@ -53,11 +53,27 @@ def test_reduced_density_matches_loop_oracle():
         assert np.allclose(rho, oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize("q", [1, 16])
+def test_reduced_density_of_one_qubit_past_int16_labels(q):
+    # at n = 16 the labels of vertex 16's side no longer fit int16
+    s = statesim.random_state(16, np.random.default_rng(41))
+    bit = (np.arange(1 << 16) >> (q - 1)) & 1
+    halves = [s.amps[bit == 0], s.amps[bit == 1]]
+    want = [[np.vdot(b, a) for b in halves] for a in halves]
+    assert np.allclose(entanglement.reduced_density(s, {q}), want, rtol=0, atol=1e-12)
+
+
 def test_reduced_density_rejects_bad_subsystems():
     s = StateVector.plus_state(3)
     for bad in (set(), {1, 2, 3}, {0}, {4}):
         with pytest.raises(ValueError):
             entanglement.reduced_density(s, bad)
+
+
+def test_reduced_density_rejects_non_integer_vertices():
+    s = StateVector.plus_state(3)
+    with pytest.raises(ValueError, match="out of range"):
+        entanglement.reduced_density(s, {1.5})
 
 
 def test_lambda_max_values():
@@ -71,6 +87,48 @@ def test_lambda_max_values():
 def test_lambda_max_rejects_non_hermitian():
     with pytest.raises(ValueError):
         entanglement.lambda_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_lambda_max_rejects_nan_diagonal():
+    with pytest.raises(ValueError, match="not finite"):
+        entanglement.lambda_max(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_lambda_max_rejects_infinite_off_diagonal():
+    with pytest.raises(ValueError, match="not finite"):
+        entanglement.lambda_max(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "bad, message", [(np.nan, "not finite"), (np.inf, "not finite"), (1.0, "not Hermitian")]
+)
+def test_sweep_checks_each_block_like_lambda_max(bad, message, monkeypatch):
+    # a valid state never yields such a block; corrupt the last matrix of each
+    real = entanglement._grams
+
+    def corrupted(*args):
+        grams = real(*args).copy()
+        grams[-1, 0, -1] = bad
+        return grams
+
+    monkeypatch.setattr(entanglement, "_grams", corrupted)
+    with pytest.raises(ValueError, match=message):
+        entanglement.genuine_multipartite_geometric(statesim.build_state(GROVER3))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_sweep_equals_reduced_density_across_blocks(n):
+    # from n = 9 on a size class spans several blocks of cuts
+    s = statesim.rew_state(helpers.random_table(n, np.random.default_rng(n), normalized=True))
+    report = entanglement.genuine_multipartite_geometric(s)
+    assert [mask for mask, _ in report.cuts] == entanglement.bipartition_masks(n)
+    for mask, lam in report.cuts:
+        rho = entanglement.reduced_density(s, _bits.vertices_from_mask(mask))
+        assert lam == entanglement.lambda_max(rho)
+    dense = entanglement.genuine_multipartite_geometric(StateVector.from_amplitudes(s.dense_array()))
+    assert [mask for mask, _ in dense.cuts] == [mask for mask, _ in report.cuts]
+    assert np.allclose([lam for _, lam in dense.cuts], [lam for _, lam in report.cuts],
+                       rtol=0, atol=1e-12)
 
 
 def test_geometric_measure_single_minus_state():

@@ -215,6 +215,30 @@ def test_mask_bits_match_the_bit_peel_loop(mask, first):
     assert _bits.vertices_from_mask(mask) == frozenset(i + 1 for i in helpers.loop_set_bits(mask))
 
 
+@st.composite
+def cut_sides(draw):
+    """(width, masks): masks below 2**n, n <= MAX_N, with at least width set bits."""
+    n = draw(st.integers(1, MAX_N))
+    width = draw(st.integers(0, n))
+    bit_sets = st.lists(st.integers(0, n - 1), unique=True, min_size=width, max_size=n)
+    masks = draw(st.lists(bit_sets.map(lambda bits: sum(1 << b for b in bits)), max_size=20))
+    return width, masks
+
+
+@PROPERTY
+@given(cut_sides())
+def test_deposit_matches_the_bit_loop(case):
+    width, masks = case
+    out = _bits.deposit(masks, width)
+    assert out.dtype == np.int16 and out.shape == (len(masks), 1 << width)
+    assert out.tolist() == [helpers.loop_deposit(m, width) for m in masks]
+
+
+def test_deposit_widens_past_int16():
+    out = _bits.deposit([1 << 15 | 1 << 3], 2)
+    assert out.dtype == np.int64 and out.tolist() == [[0, 8, 1 << 15, 1 << 15 | 8]]
+
+
 @PROPERTY
 @given(st.integers(1, SMALL_N).flatmap(lambda n: st.tuples(
     st.just(n),
