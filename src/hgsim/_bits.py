@@ -14,14 +14,13 @@ local Z and a Z word, ``parity_mask``, are tables of one or more edges);
 table -> set labels is ``set_bits``; label mask -> bits or vertices is
 ``mask_bits``; the labels of weight k (k-uniform edge slots, bipartition
 sides) are ``set_bits(weight_mask(n, k))``; the labels a cut's side and its
-complement span are ``deposit``; a set of masks is range-checked by
-``first_bad_mask``.
+complement span are ``deposit``; a set of masks becomes a checked uint64
+array through ``mask_set``, and ``first_bad_mask`` names a mask it rejects.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from typing import Collection, Iterable
 
 import numpy as np
@@ -84,13 +83,13 @@ def pack(bits: np.ndarray | bytearray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def table_from_edges(masks: Iterable[int], n: int) -> int:
+def table_from_edges(masks: Iterable[int] | np.ndarray, n: int) -> int:
     """Bit x = parity of the masks contained in x (duplicate masks count once).
 
     The butterfly of the indicator of the given label masks, 0 <= mask < 2**n.
     """
     indicator = np.zeros(1 << n, dtype=np.uint8)
-    indicator[np.fromiter(masks, dtype=np.int64)] = 1
+    indicator[masks if isinstance(masks, np.ndarray) else list(masks)] = 1
     return butterfly(pack(indicator), n)
 
 
@@ -131,13 +130,33 @@ def deposit(masks: Collection[int] | np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def first_bad_mask(masks: Collection[int], allowed: int, empty_ok: bool = True) -> int | None:
-    """The first mask with a bit outside ``allowed`` (as any negative mask
-    has), or 0 unless ``empty_ok``; None if there is none.  One OR over all
-    masks decides; the loop runs only to name the first culprit."""
-    if not reduce(or_, masks, 0) & ~allowed and (empty_ok or 0 not in masks):
+def mask_set(
+    masks: Collection[int] | np.ndarray, allowed: int, empty_ok: bool = True
+) -> np.ndarray | None:
+    """The distinct masks (Python ints or uint64) as a new ascending, read-only
+    uint64 array; None if a mask has a bit outside ``allowed`` (as any
+    negative mask has) or, unless ``empty_ok``, is 0.  One OR decides, and
+    ``first_bad_mask`` names the culprit.  An ascending input is not sorted."""
+    try:
+        array = np.array(masks if isinstance(masks, np.ndarray) else list(masks), dtype=np.uint64)
+    except OverflowError:  # a Python int below 0 or past 64 bits
         return None
-    return next(m for m in masks if m & ~allowed or (m == 0 and not empty_ok))
+    if int(np.bitwise_or.reduce(array, initial=0)) & ~allowed or not (empty_ok or array.all()):
+        return None
+    if not (array[1:] > array[:-1]).all():
+        array.sort()  # np.unique would take about 20 times as long
+        array = array[np.concatenate(([True], array[1:] != array[:-1]))]
+    array.flags.writeable = False
+    return array
+
+
+def first_bad_mask(
+    masks: Collection[int] | np.ndarray, allowed: int, empty_ok: bool = True
+) -> int | None:
+    """The first mask with a bit outside ``allowed`` (as any negative mask
+    has), or 0 unless ``empty_ok``; None if there is none."""
+    values = masks.tolist() if isinstance(masks, np.ndarray) else masks
+    return next((m for m in values if m & ~allowed or (m == 0 and not empty_ok)), None)
 
 
 def mask_from_vertices(vertices: Iterable[int]) -> int:

@@ -4,9 +4,6 @@ The measure is 1 minus the largest squared overlap with any biseparable
 pure state.  For a fixed cut that overlap equals the top eigenvalue of the
 reduced density operator, so the measure is deterministic linear algebra:
 enumerate the 2**(n-1) - 1 bipartitions, take the worst cut.
-
-``product_overlap`` is a separate diagnostic: an alternating single-site
-optimizer that lower-bounds the best overlap with a *fully product* state.
 """
 
 from __future__ import annotations
@@ -17,11 +14,10 @@ from numbers import Integral
 import numpy as np
 
 from . import _bits
-from .statesim import DEFAULT_SEED, StateVector, _signs_to_pm1
+from .statesim import StateVector, _signs_to_pm1
 
 MAX_QUBITS = 12
 ATOL_HERMITIAN = 1e-10
-SWEEP_TOL = 1e-12
 _BLOCK_ENTRIES = 1 << 14  # amplitudes gathered per block of cuts in the sweep
 
 
@@ -136,57 +132,3 @@ def genuine_multipartite_geometric(s: StateVector) -> BipartitionReport:
             _check_hermitian(grams)
             cuts += zip(side[lo:lo + step], np.linalg.eigvalsh(grams)[:, -1].tolist())
     return BipartitionReport(s.n, tuple(cuts))
-
-
-def _als_run(
-    psi: np.ndarray, n: int, rng: np.random.Generator, sweeps: int
-) -> tuple[float, list[float]]:
-    """One alternating-optimization run from a random product start.
-
-    Returns the best squared overlap and its full per-update history (the
-    history is non-decreasing up to roundoff).
-    """
-    tensor = psi.reshape([2] * n)
-    sites = []
-    for _ in range(n):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        sites.append(v / np.linalg.norm(v))
-    letters = "abcdefghijklmnopqrst"  # covers the 20-qubit backend cap
-    history: list[float] = []
-    value = 0.0
-    for _ in range(sweeps):
-        start = value
-        for q in range(1, n + 1):
-            # contract every site but q; axis of qubit q is n - q
-            subs = [letters[:n]]
-            args = []
-            for r in range(1, n + 1):
-                if r == q:
-                    continue
-                subs.append(letters[n - r])
-                args.append(sites[r - 1].conj())
-            env = np.einsum(
-                ",".join(subs) + "->" + letters[n - q], tensor, *args
-            )
-            norm = np.linalg.norm(env)
-            if norm > 0.0:
-                sites[q - 1] = env / norm
-            value = norm * norm
-            history.append(value)
-        if value - start < SWEEP_TOL:
-            break
-    return value, history
-
-
-def product_overlap(
-    s: StateVector,
-    restarts: int = 32,
-    sweeps: int = 200,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Lower bound on the best squared overlap with a full product state."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
-    psi = s.dense_array()
-    return max(_als_run(psi, s.n, rng, sweeps)[0] for _ in range(restarts))

@@ -54,14 +54,14 @@ def extract_layered(tt: TruthTable) -> Hypergraph:
             edges.extend(_bits.set_bits(level))
             work ^= _bits.butterfly(level, tt.n)
     assert work == 0, "layered pass must end on the all-plus table"
-    return Hypergraph(tt.n, frozenset(edges))
+    return Hypergraph(tt.n, edges)
 
 
 def extract_fast(tt: TruthTable) -> Hypergraph:
     """The edges are the monomials of the XOR transform of the table."""
     _require_normalized(tt)
     t = _bits.butterfly(tt.bits, tt.n)
-    return Hypergraph(tt.n, frozenset(_bits.set_bits(t)))
+    return Hypergraph(tt.n, _bits.set_bits(t))
 
 
 def classify_balance(tt: TruthTable) -> BalanceReport:

@@ -1,8 +1,8 @@
 """Hypergraphs on 1-based vertices with edges of any order 1..n.
 
-Edges are stored as label bitmasks (bit i-1 = vertex i), which gives a
-canonical ordering for serialization and O(1) subset tests against basis
-labels.  The text format is line oriented:
+Edges are stored as one ascending uint64 array of label bitmasks (bit i-1 =
+vertex i); the canonical order by size, then vertex tuple (``sorted_masks``)
+is applied only where text is written.  The text format is line oriented:
 
     # comment
     n 3
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from operator import add
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -42,38 +42,52 @@ def edge_mask(vertices: Iterable[int], n: int) -> int:
     return _bits.mask_from_vertices(vs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Hypergraph:
-    """Vertex count plus a set of hyperedges, each a label bitmask."""
+    """Vertex count plus a set of hyperedges, each a label bitmask.
+
+    The only stored form of the edges is ``masks``, an ascending read-only
+    uint64 array (every n <= 64 fits); ``edges`` is a frozenset view of it.
+    """
 
     n: int
-    edges: frozenset[int]
+    masks: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
-        bad = _bits.first_bad_mask(self.edges, (1 << self.n) - 1, empty_ok=False)
-        if bad is not None:
-            raise ValueError(f"edge mask {bad:#x} invalid for n={self.n}")
+    def __init__(self, n: int, edges: Collection[int] | np.ndarray) -> None:
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        masks = _bits.mask_set(edges, (1 << n) - 1, empty_ok=False)
+        if masks is None:
+            bad = _bits.first_bad_mask(edges, (1 << n) - 1, empty_ok=False)
+            raise ValueError(f"edge mask {bad:#x} invalid for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", masks)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.masks, other.masks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.masks.tobytes()))
+
+    @cached_property
+    def edges(self) -> frozenset[int]:
+        return frozenset(self.masks.tolist())
 
     @classmethod
     def from_sets(cls, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
         return cls(n, frozenset(edge_mask(e, n) for e in edges))
 
     def edge_sets(self) -> frozenset[frozenset[int]]:
-        return frozenset(_bits.vertices_from_mask(e) for e in self.edges)
+        return frozenset(map(_bits.vertices_from_mask, self.masks.tolist()))
 
     def sorted_edges(self) -> list[int]:
         """Edges in canonical order: by size, then lexicographic vertex tuple."""
-        return sorted_masks(self._edge_array).tolist()
-
-    @cached_property
-    def _edge_array(self) -> np.ndarray:
-        """The edge masks as one uint64 array (every n <= 64 fits)."""
-        return np.fromiter(self.edges, dtype=np.uint64, count=len(self.edges))
+        return sorted_masks(self.masks).tolist()
 
     def orders(self) -> frozenset[int]:
-        return frozenset(e.bit_count() for e in self.edges)
+        return frozenset(np.bitwise_count(self.masks).tolist())
 
 
 @dataclass(frozen=True)
@@ -104,38 +118,42 @@ class UniformityClass:
 
 
 class _HalfTable(dict):
-    """Per-call table from one half of an edge mask to fmt(its vertices).
+    """Per-call table from one half of an edge mask (its key) to its text.
 
     Filled on first use, so it never holds more entries than there are
     edges, even where 2**(n/2) is far larger.
     """
 
-    def __init__(self, fmt: Callable[[list[int]], Any], first: int) -> None:
+    def __init__(self, text: Callable[[int], str]) -> None:
         super().__init__()
-        self.fmt = fmt
-        self.first = first  # the vertex of the half's bit 0
+        self.text = text
 
-    def __missing__(self, half: int) -> Any:
-        value = self[half] = self.fmt(_bits.mask_bits(half, self.first))
+    def __missing__(self, key: int) -> str:
+        value = self[key] = self.text(key)
         return value
 
 
-def _edge_texts(
-    masks: np.ndarray, n: int, fmt: Callable[[list[int]], Any], head: Any = ""
-) -> Iterator[Any]:
-    """head + fmt(ascending vertices) of each mask of a uint64 array, for a
-    fmt that maps the concatenation of two vertex lists to the sum (+) of
-    their values.
+def _edge_texts(masks: np.ndarray, n: int, head: str, sep: str) -> Iterator[str]:
+    """head + sep.join(ascending vertices) of each mask of a uint64 array.
 
-    Each value is the sum of two table entries, keyed by the low and high
-    ceil(n/2)-bit halves of the mask; the low half's entry carries the head.
+    Each text is the sum of two table entries, keyed by the low and high
+    ceil(n/2)-bit halves of the mask.  The head goes with the first half
+    that has a vertex (the high half for mask 0), so bit 0 of the high
+    half's key says whether the low half is empty.
     """
     split = (n + 1) // 2
-    low = _HalfTable(lambda vs: head + fmt(vs), 1)
-    high = _HalfTable(fmt, split + 1)
-    lows = (masks & np.uint64((1 << split) - 1)).tolist()
-    highs = (masks >> np.uint64(split)).tolist()
-    return map(add, map(low.__getitem__, lows), map(high.__getitem__, highs))
+
+    def vertices(half: int, first: int) -> str:
+        return sep.join(map(str, _bits.mask_bits(half, first)))
+
+    def high_text(key: int) -> str:
+        return (head if key & 1 else sep if key > 1 else "") + vertices(key >> 1, split + 1)
+
+    low = _HalfTable(lambda half: head + vertices(half, 1) if half else "")
+    high = _HalfTable(high_text)
+    lows = masks & np.uint64((1 << split) - 1)
+    highs = (masks >> np.uint64(split)) << np.uint64(1) | (lows == 0)
+    return map(add, map(low.__getitem__, lows.tolist()), map(high.__getitem__, highs.tolist()))
 
 
 # Bit i of byte b set iff bit 7 - i of _REVERSED_BYTE[b] is.
@@ -146,11 +164,13 @@ def sorted_masks(masks: np.ndarray) -> np.ndarray:
     """A uint64 array of label masks by size, then lexicographic vertex tuple.
 
     Among masks of one size, ascending vertex tuples are descending
-    bit-reversed masks (vertex v -> bit 64 - v), so one lexsort over
-    (popcount, complement of the reversed mask) gives the order.
+    bit-reversed masks (vertex v -> bit 64 - v).  So the masks are sorted by
+    the complement of the reversed mask, then by popcount with a stable
+    sort, which numpy does as a radix sort on the uint8 counts.
     """
     reversed_ = _REVERSED_BYTE[masks.view(np.uint8)].view(np.uint64).byteswap()
-    return masks[np.lexsort((~reversed_, np.bitwise_count(masks)))]
+    order = np.argsort(~reversed_)  # equal keys are equal masks, so any sort will do
+    return masks[order[np.argsort(np.bitwise_count(masks)[order], kind="stable")]]
 
 
 def parse(text: str) -> Hypergraph:
@@ -189,9 +209,10 @@ def _parse_plain(text: str) -> Hypergraph | None:
             return None
         blocks.append(masks)
         start = stop
-    masks = np.concatenate(blocks).tolist() if blocks else []
-    edges = frozenset(masks)
-    return Hypergraph(n, edges) if len(edges) == len(masks) else None
+    masks = np.sort(np.concatenate(blocks)) if blocks else np.empty(0, np.uint64)
+    if (masks[1:] == masks[:-1]).any():
+        return None  # a duplicate edge, which the line loop names
+    return Hypergraph(n, masks)
 
 
 def _plain_edge_masks(line_bytes: np.ndarray, n: int) -> np.ndarray | None:
@@ -277,13 +298,13 @@ def _parse_lines(text: str) -> Hypergraph:
             raise FormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if n is None:
         raise FormatError("missing vertex-count line 'n <int>'")
-    return Hypergraph(n, frozenset(edges))
+    return Hypergraph(n, edges)
 
 
 def serialize(h: Hypergraph) -> str:
-    edges = sorted_masks(h._edge_array)
+    edges = sorted_masks(h.masks)
     lines = [f"n {h.n}"]
-    lines.extend(_edge_texts(edges, h.n, lambda vs: "".join(f" {v}" for v in vs), "e"))
+    lines.extend(_edge_texts(edges, h.n, "e ", " "))
     return "\n".join(lines) + "\n"
 
 
@@ -302,19 +323,19 @@ def classify_uniformity(h: Hypergraph) -> UniformityClass:
     return UniformityClass("mixed", orders)
 
 
-def neighbour_masks(h: Hypergraph, i: int) -> frozenset[int]:
-    """The tuples completing vertex i to a hyperedge, as label masks (0 for
-    the edge {i}): one vectorised selection over the edge array."""
+def neighbour_masks(h: Hypergraph, i: int) -> np.ndarray:
+    """The tuples completing vertex i to a hyperedge, as an ascending uint64
+    array of label masks (0 for the edge {i}).  Clearing a bit that every
+    selected edge has keeps the edges' ascending order."""
     if not 1 <= i <= h.n:
         raise ValueError(f"vertex {i} out of range 1..{h.n}")
-    edges = h._edge_array
     bit = np.uint64(1 << (i - 1))
-    return frozenset((edges[(edges & bit) != 0] ^ bit).tolist())
+    return h.masks[(h.masks & bit) != 0] ^ bit
 
 
 def neighbourhood(h: Hypergraph, i: int) -> frozenset[frozenset[int]]:
     """The tuples completing vertex i to a hyperedge; empty tuple for the edge {i}."""
-    return frozenset(map(_bits.vertices_from_mask, neighbour_masks(h, i)))
+    return frozenset(map(_bits.vertices_from_mask, neighbour_masks(h, i).tolist()))
 
 
 def count_exponent(n: int, k: int | None = None) -> int:
@@ -336,13 +357,13 @@ def count_states(n: int, k: int | None = None) -> int:
 def to_dot(h: Hypergraph) -> str:
     """Render to DOT: pair edges as plain edges, singletons as a double circle,
     larger edges as a point-shaped hub connected to its members."""
-    singletons = {e.bit_length() for e in h.edges if e.bit_count() == 1}
+    singletons = {e.bit_length() for e in h.masks[np.bitwise_count(h.masks) == 1].tolist()}
     out = ["graph hypergraph {", "  node [shape=circle];"]
     for v in range(1, h.n + 1):
         deco = " [peripheries=2]" if v in singletons else ""
         out.append(f"  {v}{deco};")
     hub = 0
-    for vs in _edge_texts(sorted_masks(h._edge_array), h.n, tuple, ()):
+    for vs in (_bits.mask_bits(e, 1) for e in sorted_masks(h.masks).tolist()):
         if len(vs) == 1:
             continue
         if len(vs) == 2:

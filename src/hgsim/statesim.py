@@ -7,22 +7,23 @@ Two amplitude backends:
   layers on the uniform superposition stays here with zero rounding, so
   equality checks are bit-perfect.
 * ``complex``: a dense complex128 vector, used for Y gates and the random
-  probes of ``commutator_residual``.
+  probes of ``commutator_residual``, which no command runs.
 
 Conversions between backends are explicit (``to_dense``); nothing converts
 silently.
 
 A correlation operator K_i is a bit flip on one vertex times a product of
 phase gates over that vertex's neighbourhood tuples (the empty tuple stands
-for the scalar -1).  The tuples are held as label masks; vertex sets are
-built only for ``tuples`` and the text rendering.  The phase-gate product is
-itself a +-1 diagonal, so an operator application is one diagonal table plus
-one label permutation, O(2**n) regardless of how many tuples it carries.
+for the scalar -1).  The tuples are held as a uint64 array of label masks;
+vertex sets are built only for ``tuples`` and the text rendering.  The
+phase-gate product is itself a +-1 diagonal, so an operator application is
+one diagonal table plus one label permutation, O(2**n) regardless of how
+many tuples it carries.
 
 Commutation and uniqueness are decided exactly on sign tables
 (``commutation_witness`` names the first label where the two products
-differ; ``joint_dimension`` counts the joint +1 eigenspace).  The
-random-probe ``commutator_residual`` is kept as an independent check.
+differ; ``joint_dimension`` counts the joint +1 eigenspace), so ``verify``
+draws no random probe.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -40,11 +41,8 @@ from .boolfn import MAX_QUBITS, TruthTable
 from .errors import FormatError
 from .hypergraph import Hypergraph, _edge_texts, edge_mask, neighbour_masks, sorted_masks
 
-MAX_UNIQUENESS_QUBITS = 12
 ATOL_EQUAL = 1e-9  # amplitude comparisons on the complex backend
 ATOL_NORM = 1e-12  # squared-norm checks
-
-DEFAULT_SEED = 42
 
 _SIGN_HEADER = re.compile(r"n ([1-9][0-9]?) backend sign\n")
 
@@ -146,7 +144,7 @@ def build_state(h: Hypergraph) -> StateVector:
     """
     if h.n > MAX_QUBITS:
         raise ValueError(f"dense simulation is capped at n={MAX_QUBITS}")
-    return StateVector(h.n, signs=_bits.table_from_edges(h.edges, h.n))
+    return StateVector(h.n, signs=_bits.table_from_edges(h.masks, h.n))
 
 
 def apply_ckz(s: StateVector, vertices: Iterable[int]) -> StateVector:
@@ -184,19 +182,20 @@ def apply_local_pauli(s: StateVector, i: int, p: str) -> StateVector:
     return StateVector(s.n, amps=amps)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class StabilizerOperator:
     """X on one vertex times phase gates over its neighbourhood tuples.
 
-    The tuples are kept as label masks (bit v-1 = vertex v); mask 0, the
-    empty tuple, contributes the scalar -1.  The whole phase-gate product
-    collapses to a single +-1 diagonal (``diagonal_table``), so applying the
-    operator costs one table XOR plus one label swap.
+    The tuples are kept as an ascending read-only uint64 array of label masks
+    (bit v-1 = vertex v); mask 0, the empty tuple, contributes the scalar -1.
+    The whole phase-gate product collapses to a single +-1 diagonal
+    (``diagonal_table``), so applying the operator costs one table XOR plus
+    one label swap.
     """
 
     n: int
     i: int
-    masks: frozenset[int]
+    masks: np.ndarray
 
     def __init__(self, n: int, i: int, tuples: Iterable[Iterable[int]] = frozenset()) -> None:
         """The operator of 1-based vertex tuples."""
@@ -206,30 +205,43 @@ class StabilizerOperator:
             if vs and vs[0] < 1:
                 raise ValueError(f"tuple {vs} out of range 1..{n}")
             masks.add(_bits.mask_from_vertices(vs))
-        self._set(n, i, frozenset(masks))
+        self._set(n, i, masks)
 
     @classmethod
-    def from_masks(cls, n: int, i: int, masks: Iterable[int]) -> "StabilizerOperator":
+    def from_masks(
+        cls, n: int, i: int, masks: Collection[int] | np.ndarray
+    ) -> "StabilizerOperator":
+        """The operator of tuple masks, Python ints or uint64; repeats count once."""
         op = cls.__new__(cls)
-        op._set(n, i, frozenset(masks))
+        op._set(n, i, masks)
         return op
 
-    def _set(self, n: int, i: int, masks: frozenset[int]) -> None:
+    def _set(self, n: int, i: int, masks: Collection[int] | np.ndarray) -> None:
         if not 1 <= i <= n:
             raise ValueError(f"vertex {i} out of range 1..{n}")
-        bad = _bits.first_bad_mask(masks, ((1 << n) - 1) ^ (1 << (i - 1)))
-        if bad is not None:
+        allowed = ((1 << n) - 1) ^ (1 << (i - 1))
+        array = _bits.mask_set(masks, allowed)
+        if array is None:
+            bad = _bits.first_bad_mask(masks, allowed)
             if not 0 <= bad < 1 << n:
                 raise ValueError(f"tuple mask {bad:#x} out of range for n={n}")
             raise ValueError(f"tuple {_bits.mask_bits(bad, 1)} must not contain the flip vertex")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "i", i)
-        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "masks", array)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StabilizerOperator):
+            return NotImplemented
+        return (self.n, self.i) == (other.n, other.i) and np.array_equal(self.masks, other.masks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.i, self.masks.tobytes()))
 
     @property
     def tuples(self) -> frozenset[frozenset[int]]:
         """The neighbourhood tuples as 1-based vertex sets."""
-        return frozenset(map(_bits.vertices_from_mask, self.masks))
+        return frozenset(map(_bits.vertices_from_mask, self.masks.tolist()))
 
     @cached_property
     def diagonal_table(self) -> int:
@@ -255,9 +267,8 @@ def operator_texts(ops: list[StabilizerOperator]) -> list[str]:
     n = ops[0].n
     if any(op.n != n for op in ops):
         raise ValueError("operators of different qubit counts")
-    arrays = [sorted_masks(np.fromiter(op.masks, np.uint64, len(op.masks))) for op in ops]
-    # ",v1,v2,..." per tuple; the leading comma goes with the final "(," -> "("
-    texts = list(_edge_texts(np.concatenate(arrays), n, lambda vs: "".join(f",{v}" for v in vs)))
+    arrays = [sorted_masks(op.masks) for op in ops]
+    texts = list(_edge_texts(np.concatenate(arrays), n, "", ","))  # "v1,v2,..." per tuple
     out, start = [], 0
     for op, masks in zip(ops, arrays):
         # the tuples of size k are texts[bounds[k]:bounds[k + 1]]
@@ -266,7 +277,7 @@ def operator_texts(ops: list[StabilizerOperator]) -> list[str]:
             f"C{k}Z(" + f") C{k}Z(".join(texts[a:b]) + ")"
             for k, (a, b) in enumerate(pairwise(bounds)) if a < b
         ]
-        out.append(" ".join([f"X{op.i}", *runs]).replace("(,", "("))
+        out.append(" ".join([f"X{op.i}", *runs]))
         start = bounds[-1]
     return out
 
@@ -375,8 +386,6 @@ def joint_dimension(ops: list[StabilizerOperator], n: int) -> int:
 
 def uniqueness_check(
     h: Hypergraph,
-    probes: int = 20,
-    seed: int = DEFAULT_SEED,
     *,
     state: StateVector | None = None,
     ops: list[StabilizerOperator] | None = None,
@@ -385,10 +394,8 @@ def uniqueness_check(
     correlation operators: joint_dimension is 1 and every operator fixes the
     state's sign table.  ``state`` (sign backend) and ``ops`` default to
     build_state(h) and every vertex's stabilizer; pass them to reuse ones
-    already built.  ``probes`` and ``seed`` do not affect the result.
+    already built.
     """
-    if h.n > MAX_UNIQUENESS_QUBITS:
-        raise ValueError(f"uniqueness check is capped at n={MAX_UNIQUENESS_QUBITS}")
     s = state if state is not None else build_state(h)
     if s.backend != "sign":
         raise ValueError("uniqueness_check needs the exact sign backend")

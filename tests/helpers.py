@@ -269,6 +269,29 @@ def vertex_tuple_sorted(edges) -> list[int]:
     return sorted(edges, key=lambda e: (e.bit_count(), vertices(e)))
 
 
+def set_vertex_text(mask: int, sep: str) -> str:
+    """The vertices of a mask, ascending, joined by sep."""
+    return sep.join(str(i + 1) for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def set_serialize(n: int, edges) -> str:
+    """The graph text of a set of edge masks, edge by edge in vertex-tuple order."""
+    lines = [f"e {set_vertex_text(e, ' ')}\n" for e in vertex_tuple_sorted(edges)]
+    return f"n {n}\n" + "".join(lines)
+
+
+def set_neighbour_masks(edges, i: int) -> frozenset[int]:
+    """The masks of a set's edges through vertex i, each without i."""
+    bit = 1 << (i - 1)
+    return frozenset(e ^ bit for e in edges if e & bit)
+
+
+def set_operator_text(i: int, masks) -> str:
+    """`X<i>`, then `C<k>Z(<vertices>)` for each of a set of tuple masks."""
+    gates = [f"C{m.bit_count()}Z({set_vertex_text(m, ',')})" for m in vertex_tuple_sorted(masks)]
+    return " ".join([f"X{i}", *gates])
+
+
 def loop_sorted_masks(masks, n: int) -> list[int]:
     """Masks below 2**n sorted by the key size * 2**n - bit-reversed mask
     (vertex v -> bit n - v), summed vertex by vertex."""
@@ -282,7 +305,7 @@ def loop_sorted_masks(masks, n: int) -> list[int]:
 def operator_diagonal(op) -> np.ndarray:
     """(-1)**(number of the operator's tuple masks contained in x), per label x."""
     labels = np.arange(1 << op.n)
-    covered = sum(((labels & m) == m).astype(int) for m in op.masks)
+    covered = sum(((labels & m) == m).astype(int) for m in op.masks.tolist())
     return 1.0 - 2.0 * (np.asarray(covered) & 1)
 
 

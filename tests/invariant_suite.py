@@ -160,17 +160,6 @@ def check_entanglement(seed: int) -> None:
             assert all(
                 abs(a[1] - b[1]) <= 1e-10 for a, b in zip(base.cuts, moved.cuts)
             )
-    # product overlap is biseparable-bounded and sweep-monotone
-    for _ in range(6):
-        n = int(rng.integers(2, 6))
-        s = statesim.build_state(helpers.random_hypergraph(n, rng))
-        report = entanglement.genuine_multipartite_geometric(s)
-        best = entanglement.product_overlap(s, restarts=8, sweeps=100, seed=seed)
-        assert best <= report.lambda_star + 1e-9
-        _, history = entanglement._als_run(
-            s.dense_array(), n, np.random.default_rng(seed), sweeps=50
-        )
-        assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
     # every connected plain graph state at n=3,4 sits at or above one half
     for n in (3, 4):
         for h in helpers.connected_two_uniform(n):

@@ -176,26 +176,5 @@ def test_report_text_format():
     )
 
 
-def test_product_overlap_product_state():
-    assert entanglement.product_overlap(StateVector.plus_state(3)) == pytest.approx(
-        1.0, abs=1e-9
-    )
-
-
-def test_product_overlap_pair_graph():
-    best = entanglement.product_overlap(statesim.build_state(PAIR))
-    assert best == pytest.approx(0.5, abs=1e-6)
-
-
-def test_product_overlap_single_minus_state():
-    best = entanglement.product_overlap(statesim.build_state(GROVER3))
-    assert 0.5625 - 1e-9 <= best <= 0.75 + 1e-9
-
-
-def test_product_overlap_requires_restarts():
-    with pytest.raises(ValueError):
-        entanglement.product_overlap(StateVector.plus_state(2), restarts=0)
-
-
 def test_invariant_suite():
     invariant_suite.check_entanglement(42)

@@ -172,9 +172,52 @@ def test_bipartition_sweep_equals_reduced_density_per_cut(case):
 def test_neighbour_masks_match_a_scan_of_the_edges(h, data):
     i = data.draw(st.integers(1, h.n))
     bit = 1 << (i - 1)
-    want = {e ^ bit for e in h.edges if e & bit}
-    assert hypergraph.neighbour_masks(h, i) == want
-    assert statesim.stabilizer(h, i).masks == want
+    want = sorted(e ^ bit for e in h.edges if e & bit)
+    assert hypergraph.neighbour_masks(h, i).tolist() == want
+    assert statesim.stabilizer(h, i).masks.tolist() == want
+
+
+# ---- the stored mask arrays against the frozenset oracle
+
+@st.composite
+def edge_sets(draw, max_n=hypergraph.MAX_VERTICES):
+    """(n, edges): a frozenset of edge masks on n vertices."""
+    n = draw(st.integers(1, max_n))
+    return n, draw(st.frozensets(st.integers(1, (1 << n) - 1), max_size=100))
+
+
+@PROPERTY
+@given(edge_sets(), st.randoms(use_true_random=False))
+def test_a_shuffled_mask_array_builds_the_frozenset_hypergraph(case, random):
+    n, edges = case
+    shuffled = list(edges)
+    random.shuffle(shuffled)
+    h = Hypergraph(n, edges)
+    for g in (Hypergraph(n, np.array(shuffled, dtype=np.uint64)), Hypergraph(n, shuffled * 2)):
+        assert g == h and hash(g) == hash(h)
+        assert g.edges == edges
+        assert hypergraph.serialize(g) == helpers.set_serialize(n, edges)
+    assert h.masks.tolist() == sorted(edges) and not h.masks.flags.writeable
+    if edges:
+        assert Hypergraph(n, edges - {shuffled[0]}) != h
+    if n < hypergraph.MAX_VERTICES:
+        assert Hypergraph(n + 1, edges) != h
+
+
+@PROPERTY
+@given(edge_sets(max_n=12))
+def test_stabilizers_match_the_frozenset_oracle(case):
+    n, edges = case
+    h = Hypergraph(n, edges)
+    ops = [statesim.stabilizer(h, i) for i in range(1, n + 1)]
+    tuples = [helpers.set_neighbour_masks(edges, i) for i in range(1, n + 1)]
+    for op, want in zip(ops, tuples):
+        assert op.masks.tolist() == sorted(want) and not op.masks.flags.writeable
+        oracle = statesim.StabilizerOperator.from_masks(n, op.i, want)
+        assert op == oracle and hash(op) == hash(oracle)
+    assert statesim.operator_texts(ops) == [
+        helpers.set_operator_text(op.i, want) for op, want in zip(ops, tuples)
+    ]
 
 
 # ---- one-edge gates, Z words, cut sides, uniform tables and orbit keys against their loops
@@ -318,7 +361,7 @@ def test_edge_and_tuple_checks_name_the_first_bad_mask(case):
             Hypergraph(n, masks)
     bad_tuple = helpers.loop_mask_check(masks, n, clear=1 << (i - 1))
     if bad_tuple is None:
-        assert statesim.StabilizerOperator.from_masks(n, i, masks).masks == masks
+        assert statesim.StabilizerOperator.from_masks(n, i, masks).masks.tolist() == sorted(masks)
     else:
         with pytest.raises(ValueError) as err:
             statesim.StabilizerOperator.from_masks(n, i, masks)
@@ -376,6 +419,20 @@ def test_byte_level_parse_equals_the_line_loop(case, block):
     with mock.patch.object(hypergraph, "_BLOCK_BYTES", block):
         assert hypergraph._parse_plain(text) == want
         assert hypergraph.parse(text) == want
+
+
+@PROPERTY
+@given(plain_graph_texts().filter(lambda case: case[1]), st.data())
+def test_parse_names_a_repeated_edge_line(case, data):
+    _, _, text = case
+    head, *lines = text.splitlines(keepends=True)
+    at = data.draw(st.integers(0, len(lines) - 1))
+    to = data.draw(st.integers(at + 1, len(lines)))
+    lines.insert(to, lines[at])
+    vertices = ", ".join(lines[at].split()[1:])
+    with pytest.raises(FormatError) as err:
+        hypergraph.parse(head + "".join(lines))
+    assert str(err.value) == f"line {to + 2}: duplicate edge [{vertices}]"
 
 
 NON_ASCII_DIGITS = ("٠", "０")  # Arabic-Indic and fullwidth zero
