@@ -7,7 +7,7 @@ local-Pauli orbits, and compute the genuine-multipartite geometric
 entanglement from bipartition spectra.
 """
 
-from .boolfn import MonomialSet, TruthTable, mobius_transform, truth_table_from_hex
+from .boolfn import TruthTable, mobius_transform, truth_table_from_hex
 from .entanglement import BipartitionReport, genuine_multipartite_geometric
 from .errors import FormatError
 from .extract import BalanceReport, classify_balance, extract_fast, extract_layered
@@ -22,7 +22,6 @@ __all__ = [
     "BipartitionReport",
     "FormatError",
     "Hypergraph",
-    "MonomialSet",
     "OrbitKey",
     "StabilizerOperator",
     "StateVector",

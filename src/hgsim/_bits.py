@@ -12,15 +12,22 @@ such words.
 One kernel per job: edges -> table is ``table_from_edges`` (a C^kZ gate, a
 local Z and a Z word, ``parity_mask``, are tables of one or more edges);
 table -> set labels is ``set_bits``; label mask -> bits or vertices is
-``mask_bits``; the labels of weight k (k-uniform edge slots, bipartition
-sides) are ``set_bits(weight_mask(n, k))``; the labels a cut's side and its
-complement span are ``deposit``; a set of masks becomes a checked uint64
-array through ``mask_set``, and ``first_bad_mask`` names a mask it rejects.
+``mask_bits``; vertices -> label mask is ``mask_from_vertices``, the one
+place a vertex is checked and made a bit; the labels of weight k (k-uniform
+edge slots, bipartition sides) are ``set_bits(weight_mask(n, k))``; the
+labels a cut's side and its complement span are ``deposit``; a set of masks
+becomes a checked uint64 array through ``mask_set``, and ``first_bad_mask``
+names a mask it rejects.
+
+A set of label masks passes between modules in one form: an ascending
+uint64 array, as ``set_bits`` returns it and ``mask_set`` stores it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Integral
+from operator import index
 from typing import Collection, Iterable
 
 import numpy as np
@@ -102,9 +109,9 @@ def weight_mask(n: int, k: int) -> int:
     return pack(popcount == k)
 
 
-def set_bits(table: int) -> list[int]:
-    """Positions of the set bits of a table, ascending."""
-    return np.flatnonzero(unpack(table, table.bit_length())).tolist()
+def set_bits(table: int) -> np.ndarray:
+    """Positions of the set bits of a table, as an ascending uint64 array."""
+    return np.flatnonzero(unpack(table, table.bit_length())).view(np.uint64)
 
 
 def mask_bits(mask: int, first: int = 0) -> list[int]:
@@ -133,16 +140,23 @@ def deposit(masks: Collection[int] | np.ndarray, width: int) -> np.ndarray:
 def mask_set(
     masks: Collection[int] | np.ndarray, allowed: int, empty_ok: bool = True
 ) -> np.ndarray | None:
-    """The distinct masks (Python ints or uint64) as a new ascending, read-only
-    uint64 array; None if a mask has a bit outside ``allowed`` (as any
-    negative mask has) or, unless ``empty_ok``, is 0.  One OR decides, and
-    ``first_bad_mask`` names the culprit.  An ascending input is not sorted."""
-    try:
-        array = np.array(masks if isinstance(masks, np.ndarray) else list(masks), dtype=np.uint64)
-    except OverflowError:  # a Python int below 0 or past 64 bits
+    """The distinct masks (integers, or an integer array) as a new ascending,
+    read-only uint64 array; None if a mask has a bit outside ``allowed`` (as
+    any negative mask has) or, unless ``empty_ok``, is 0.  One OR decides, and
+    ``first_bad_mask`` names the culprit.  An ascending input is not sorted.
+    A mask that is not an integer, or an array of another dtype, raises
+    TypeError."""
+    if not isinstance(masks, np.ndarray):
+        try:
+            masks = np.array(list(map(index, masks)), dtype=np.uint64)
+        except OverflowError:  # a Python int below 0 or past 64 bits
+            return None
+    elif masks.dtype.kind not in "iu":
+        raise TypeError(f"mask array of dtype {masks.dtype}, not of integers")
+    # on a signed array, a negative mask makes the OR negative
+    if int(np.bitwise_or.reduce(masks, initial=0)) & ~allowed or not (empty_ok or masks.all()):
         return None
-    if int(np.bitwise_or.reduce(array, initial=0)) & ~allowed or not (empty_ok or array.all()):
-        return None
+    array = masks.astype(np.uint64)  # a copy: made read-only below
     if not (array[1:] > array[:-1]).all():
         array.sort()  # np.unique would take about 20 times as long
         array = array[np.concatenate(([True], array[1:] != array[:-1]))]
@@ -155,15 +169,18 @@ def first_bad_mask(
 ) -> int | None:
     """The first mask with a bit outside ``allowed`` (as any negative mask
     has), or 0 unless ``empty_ok``; None if there is none."""
-    values = masks.tolist() if isinstance(masks, np.ndarray) else masks
+    values = masks.tolist() if isinstance(masks, np.ndarray) else map(index, masks)
     return next((m for m in values if m & ~allowed or (m == 0 and not empty_ok)), None)
 
 
-def mask_from_vertices(vertices: Iterable[int]) -> int:
-    """Label mask with bit v-1 set for each 1-based vertex v."""
+def mask_from_vertices(vertices: Iterable[int], n: int) -> int:
+    """Label mask with bit v-1 set for each 1-based vertex v; a vertex that
+    is not an integer in 1..n raises ValueError naming it."""
     mask = 0
-    for v in vertices:
-        mask |= 1 << (v - 1)
+    for v in vertices:  # the type test first: an ABC isinstance is slow
+        if not ((type(v) is int or isinstance(v, Integral)) and 1 <= v <= n):
+            raise ValueError(f"vertex {v!r} out of range 1..{n}")
+        mask |= 1 << (int(v) - 1)
     return mask
 
 

@@ -8,10 +8,11 @@ Conventions shared by the whole package:
 * Hex serialization is the plain hexadecimal of that integer, zero padded to
   ceil(2**n / 4) digits, so the lowest-order hex digit covers x = 0..3.
 
-The XOR-monomial form (`MonomialSet`) is the unique expansion
+The XOR-monomial form (``mobius_transform``) is the unique expansion
 f(x) = constant XOR (XOR over monomials m of the product of x_i for i in m).
 Its monomials are exactly the hyperedges of the phase-flip circuit that
-prepares the sign pattern (-1)^f.
+prepares the sign pattern (-1)^f, so they are returned as a ``Hypergraph``
+(label masks), with the constant beside it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 from . import _bits
 from .errors import FormatError
+from .hypergraph import Hypergraph
 
 MAX_QUBITS = 20
 
@@ -50,29 +52,6 @@ class TruthTable:
     def weight(self) -> int:
         """Number of inputs mapped to 1 (minus signs of the matching state)."""
         return self.bits.bit_count()
-
-
-@dataclass(frozen=True)
-class MonomialSet:
-    """XOR-of-monomials form: a set of nonempty vertex subsets plus a constant bit.
-
-    The constant is the coefficient of the empty monomial.  It is kept apart
-    from the monomials because it corresponds to a global sign of the matching
-    state, never to a hyperedge.
-    """
-
-    n: int
-    monomials: frozenset[frozenset[int]]
-    constant: int
-
-    def __post_init__(self) -> None:
-        if self.constant not in (0, 1):
-            raise ValueError("constant must be a bit")
-        for m in self.monomials:
-            if not m:
-                raise ValueError("monomials must be nonempty (constant is separate)")
-            if not all(1 <= v <= self.n for v in m):
-                raise ValueError(f"monomial {sorted(m)} out of range for n={self.n}")
 
 
 def hex_digits(n: int) -> int:
@@ -115,33 +94,11 @@ def to_text(tt: TruthTable) -> str:
     return f"n {tt.n}\n{to_hex(tt)}\n"
 
 
-def mobius_transform(tt: TruthTable) -> MonomialSet:
-    """The unique XOR-monomial form of a table, via the self-inverse XOR butterfly.
-
-    The transform is its own inverse; the constant comes out as the entry at
-    label 0, i.e. f(0).
+def mobius_transform(tt: TruthTable) -> tuple[Hypergraph, int]:
+    """The unique XOR-monomial form of a table, via the self-inverse XOR
+    butterfly: the hypergraph of its nonempty monomials, and the constant
+    f(0), the coefficient of the empty monomial (a global sign of the
+    matching state, never a hyperedge).  ``_bits.table_from_edges`` inverts it.
     """
     t = _bits.butterfly(tt.bits, tt.n)
-    monomials = frozenset(
-        _bits.vertices_from_mask(label) for label in _bits.set_bits(t >> 1 << 1)
-    )
-    return MonomialSet(tt.n, monomials, t & 1)
-
-
-def to_truth_table(ms: MonomialSet) -> TruthTable:
-    """Evaluate a monomial set on every input at once (inverse of mobius_transform)."""
-    masks = [_bits.mask_from_vertices(m) for m in ms.monomials]
-    if ms.constant:
-        masks.append(0)  # the empty monomial
-    return TruthTable(ms.n, _bits.table_from_edges(masks, ms.n))
-
-
-def evaluate_anf(ms: MonomialSet, x: int) -> int:
-    """Evaluate the monomial form at one input label."""
-    if not 0 <= x < 1 << ms.n:
-        raise ValueError(f"basis label {x} out of range for n={ms.n}")
-    acc = ms.constant
-    for m in ms.monomials:
-        mask = _bits.mask_from_vertices(m)
-        acc ^= (x & mask) == mask
-    return acc & 1
+    return Hypergraph(tt.n, _bits.set_bits(t >> 1 << 1)), t & 1

@@ -9,7 +9,6 @@ enumerate the 2**(n-1) - 1 bipartitions, take the worst cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -29,12 +28,11 @@ def reduced_density(s: StateVector, subsystem) -> np.ndarray:
     the j-th smallest kept qubit at bit j-1, matching the global label
     convention.
     """
-    qubits = sorted(set(subsystem))
-    if not qubits or len(qubits) >= s.n:
+    mask = _bits.mask_from_vertices(subsystem, s.n)
+    k = mask.bit_count()
+    if not 1 <= k < s.n:
         raise ValueError("subsystem must satisfy 1 <= |A| <= n-1")
-    if not all(isinstance(q, Integral) and 1 <= q <= s.n for q in qubits):
-        raise ValueError(f"subsystem {qubits} out of range 1..{s.n}")
-    rows, cols = _deposits([_bits.mask_from_vertices(qubits)], s.n, len(qubits))
+    rows, cols = _deposits([mask], s.n, k)
     return _grams(_entries(s), s, rows, cols)[0]
 
 
@@ -78,15 +76,16 @@ def lambda_max(matrix: np.ndarray) -> float:
 
 
 def _cut_classes(n: int):
-    """(k, the cuts with |A| = k) for k = 1..n//2, in bipartition_masks order."""
+    """(k, the cuts with |A| = k as a uint64 array) for k = 1..n//2, in
+    bipartition_masks order."""
     for k in range(1, n // 2 + 1):
         side = _bits.set_bits(_bits.weight_mask(n, k))
-        yield k, [m for m in side if m & 1] if 2 * k == n else side
+        yield k, side[(side & 1) == 1] if 2 * k == n else side
 
 
 def bipartition_masks(n: int) -> list[int]:
     """One vertex-mask per bipartition, by |A| <= n/2 (ties keep vertex 1), then mask."""
-    return [m for _, side in _cut_classes(n) for m in side]
+    return [m for _, side in _cut_classes(n) for m in side.tolist()]
 
 
 @dataclass(frozen=True)
@@ -130,5 +129,5 @@ def genuine_multipartite_geometric(s: StateVector) -> BipartitionReport:
         for lo in range(0, len(side), step):
             grams = _grams(entries, s, rows[lo:lo + step], cols[lo:lo + step])
             _check_hermitian(grams)
-            cuts += zip(side[lo:lo + step], np.linalg.eigvalsh(grams)[:, -1].tolist())
+            cuts += zip(side[lo:lo + step].tolist(), np.linalg.eigvalsh(grams)[:, -1].tolist())
     return BipartitionReport(s.n, tuple(cuts))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _bits
-from .boolfn import TruthTable
+from .boolfn import TruthTable, mobius_transform
 from .hypergraph import Hypergraph
 
 CONSTANT = "constant"
@@ -47,21 +47,20 @@ def extract_layered(tt: TruthTable) -> Hypergraph:
     """Erase minus signs level by level, recording one hyperedge per erased sign."""
     _require_normalized(tt)
     work = tt.bits
-    edges = []
+    edges = 0  # the table of the recorded edge labels
     for k in range(1, tt.n + 1):
         level = work & _bits.weight_mask(tt.n, k)
         if level:
-            edges.extend(_bits.set_bits(level))
+            edges |= level
             work ^= _bits.butterfly(level, tt.n)
     assert work == 0, "layered pass must end on the all-plus table"
-    return Hypergraph(tt.n, edges)
+    return Hypergraph(tt.n, _bits.set_bits(edges))
 
 
 def extract_fast(tt: TruthTable) -> Hypergraph:
     """The edges are the monomials of the XOR transform of the table."""
     _require_normalized(tt)
-    t = _bits.butterfly(tt.bits, tt.n)
-    return Hypergraph(tt.n, _bits.set_bits(t))
+    return mobius_transform(tt)[0]
 
 
 def classify_balance(tt: TruthTable) -> BalanceReport:

@@ -33,13 +33,10 @@ MAX_VERTICES = 64
 
 def edge_mask(vertices: Iterable[int], n: int) -> int:
     """Validate a vertex subset against 1..n and return its label mask."""
-    vs = set(vertices)
-    if not vs:
+    mask = _bits.mask_from_vertices(vertices, n)
+    if not mask:
         raise ValueError("edge must be a nonempty vertex subset")
-    for v in vs:
-        if not (isinstance(v, int) and 1 <= v <= n):
-            raise ValueError(f"vertex {v!r} out of range 1..{n}")
-    return _bits.mask_from_vertices(vs)
+    return mask
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -273,7 +270,6 @@ def _parse_lines(text: str) -> Hypergraph:
                 raise FormatError(f"line {lineno}: bad vertex count {fields[1]!r}") from None
             if not 1 <= n <= MAX_VERTICES:
                 raise FormatError(f"line {lineno}: vertex count {n} out of range")
-            vertex_bit = [0] + [1 << i for i in range(n)]  # vertex v -> bit v-1
         elif fields[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before vertex-count line")
@@ -283,14 +279,12 @@ def _parse_lines(text: str) -> Hypergraph:
                 vs = list(map(int, fields[1:]))
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer vertex") from None
-            # Sorted vertices in 1..n are valid iff they do not repeat, that
-            # is iff their sum of powers of two has one bit per vertex.
-            sorted_in_range = vs == sorted(vs) and 1 <= vs[0] and vs[-1] <= n
-            mask = sum(map(vertex_bit.__getitem__, vs)) if sorted_in_range else 0
-            if mask.bit_count() != len(vs):
-                if any(a >= b for a, b in zip(vs, vs[1:])):
-                    raise FormatError(f"line {lineno}: vertices must be strictly increasing")
-                raise FormatError(f"line {lineno}: vertex out of range 1..{n}")
+            if vs != sorted(set(vs)):
+                raise FormatError(f"line {lineno}: vertices must be strictly increasing")
+            try:
+                mask = _bits.mask_from_vertices(vs, n)
+            except ValueError:
+                raise FormatError(f"line {lineno}: vertex out of range 1..{n}") from None
             if mask in edges:
                 raise FormatError(f"line {lineno}: duplicate edge {vs}")
             edges.add(mask)
@@ -310,8 +304,9 @@ def serialize(h: Hypergraph) -> str:
 
 def toggle_edge(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
     """Symmetric difference: remove the edge if present, add it if absent."""
-    mask = edge_mask(vertices, h.n)
-    return Hypergraph(h.n, h.edges ^ {mask})
+    mask = np.uint64(edge_mask(vertices, h.n))
+    kept = h.masks[h.masks != mask]
+    return Hypergraph(h.n, kept if kept.size < h.masks.size else np.append(kept, mask))
 
 
 def classify_uniformity(h: Hypergraph) -> UniformityClass:
@@ -327,9 +322,7 @@ def neighbour_masks(h: Hypergraph, i: int) -> np.ndarray:
     """The tuples completing vertex i to a hyperedge, as an ascending uint64
     array of label masks (0 for the edge {i}).  Clearing a bit that every
     selected edge has keeps the edges' ascending order."""
-    if not 1 <= i <= h.n:
-        raise ValueError(f"vertex {i} out of range 1..{h.n}")
-    bit = np.uint64(1 << (i - 1))
+    bit = np.uint64(_bits.mask_from_vertices([i], h.n))
     return h.masks[(h.masks & bit) != 0] ^ bit
 
 

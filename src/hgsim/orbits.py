@@ -80,9 +80,9 @@ def _translates(tables: np.ndarray, n: int) -> np.ndarray:
 
 
 def _edge_tables(n: int, k: int) -> np.ndarray:
-    """uint64 sign tables of the single k-vertex edges, in label order."""
-    edges = _bits.set_bits(_bits.weight_mask(n, k))
-    return np.array([_bits.table_from_edges([e], n) for e in edges], dtype=np.uint64)
+    """uint64 sign tables of the single k-vertex edges, in label order: the
+    butterfly of each edge's one-bit indicator table."""
+    return _bits.butterfly(np.uint64(1) << _bits.set_bits(_bits.weight_mask(n, k)), n)
 
 
 def _uniform_state_tables(n: int, k: int) -> np.ndarray:

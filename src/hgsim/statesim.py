@@ -14,8 +14,10 @@ silently.
 
 A correlation operator K_i is a bit flip on one vertex times a product of
 phase gates over that vertex's neighbourhood tuples (the empty tuple stands
-for the scalar -1).  The tuples are held as a uint64 array of label masks;
-vertex sets are built only for ``tuples`` and the text rendering.  The
+for the scalar -1).  The tuples are held as a uint64 array of label masks:
+``StabilizerOperator(n, i, masks)`` takes masks, as ``Hypergraph(n, masks)``
+does, and ``StabilizerOperator.from_sets`` takes vertex tuples; vertex sets
+are built otherwise only for ``tuples`` and the text rendering.  The
 phase-gate product is itself a +-1 diagonal, so an operator application is
 one diagonal table plus one label permutation, O(2**n) regardless of how
 many tuples it carries.
@@ -158,12 +160,10 @@ def apply_ckz(s: StateVector, vertices: Iterable[int]) -> StateVector:
 def apply_local_pauli(s: StateVector, i: int, p: str) -> StateVector:
     """Single-qubit X, Y or Z.  Y introduces +-i factors and therefore needs
     the complex backend; convert with to_dense() first."""
-    if not 1 <= i <= s.n:
-        raise ValueError(f"vertex {i} out of range 1..{s.n}")
+    bit = _bits.mask_from_vertices([i], s.n)
     p = p.upper()
     if p not in ("X", "Y", "Z"):
         raise ValueError(f"unknown Pauli {p!r}")
-    bit = 1 << (i - 1)
     if s.backend == "sign":
         if p == "X":
             return StateVector(s.n, signs=_bits.xor_permute(s.signs, bit, s.n))
@@ -196,30 +196,12 @@ class StabilizerOperator:
     n: int
     i: int
     masks: np.ndarray
+    flip: int  # the label mask of vertex i
 
-    def __init__(self, n: int, i: int, tuples: Iterable[Iterable[int]] = frozenset()) -> None:
-        """The operator of 1-based vertex tuples."""
-        masks = set()
-        for t in tuples:
-            vs = sorted(t)
-            if vs and vs[0] < 1:
-                raise ValueError(f"tuple {vs} out of range 1..{n}")
-            masks.add(_bits.mask_from_vertices(vs))
-        self._set(n, i, masks)
-
-    @classmethod
-    def from_masks(
-        cls, n: int, i: int, masks: Collection[int] | np.ndarray
-    ) -> "StabilizerOperator":
-        """The operator of tuple masks, Python ints or uint64; repeats count once."""
-        op = cls.__new__(cls)
-        op._set(n, i, masks)
-        return op
-
-    def _set(self, n: int, i: int, masks: Collection[int] | np.ndarray) -> None:
-        if not 1 <= i <= n:
-            raise ValueError(f"vertex {i} out of range 1..{n}")
-        allowed = ((1 << n) - 1) ^ (1 << (i - 1))
+    def __init__(self, n: int, i: int, masks: Collection[int] | np.ndarray = ()) -> None:
+        """The operator of tuple masks (integers or an integer array); repeats count once."""
+        flip = _bits.mask_from_vertices([i], n)
+        allowed = ((1 << n) - 1) ^ flip
         array = _bits.mask_set(masks, allowed)
         if array is None:
             bad = _bits.first_bad_mask(masks, allowed)
@@ -229,6 +211,12 @@ class StabilizerOperator:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "masks", array)
+        object.__setattr__(self, "flip", flip)
+
+    @classmethod
+    def from_sets(cls, n: int, i: int, tuples: Iterable[Iterable[int]]) -> "StabilizerOperator":
+        """The operator of 1-based vertex tuples."""
+        return cls(n, i, [_bits.mask_from_vertices(t, n) for t in tuples])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StabilizerOperator):
@@ -284,7 +272,7 @@ def operator_texts(ops: list[StabilizerOperator]) -> list[str]:
 
 def stabilizer(h: Hypergraph, i: int) -> StabilizerOperator:
     """The correlation operator of vertex i for the given hypergraph."""
-    return StabilizerOperator.from_masks(h.n, i, neighbour_masks(h, i))
+    return StabilizerOperator(h.n, i, neighbour_masks(h, i))
 
 
 def _apply_stabilizer_raw(amps: np.ndarray, op: StabilizerOperator) -> np.ndarray:
@@ -301,7 +289,7 @@ def apply_stabilizer(s: StateVector, op: StabilizerOperator) -> StateVector:
     if s.n != op.n:
         raise ValueError(f"dimension mismatch: state n={s.n}, operator n={op.n}")
     if s.backend == "sign":
-        signs = _bits.xor_permute(s.signs ^ op.diagonal_table, 1 << (op.i - 1), s.n)
+        signs = _bits.xor_permute(s.signs ^ op.diagonal_table, op.flip, s.n)
         return StateVector(s.n, signs=signs)
     return StateVector(s.n, amps=_apply_stabilizer_raw(s.amps, op))
 
@@ -325,7 +313,7 @@ def commutation_witness(op_a: StabilizerOperator, op_b: StabilizerOperator) -> i
     if op_a.n != op_b.n:
         raise ValueError(f"dimension mismatch: operator n={op_a.n} vs n={op_b.n}")
     n, da, db = op_a.n, op_a.diagonal_table, op_b.diagonal_table
-    a, b = 1 << (op_a.i - 1), 1 << (op_b.i - 1)
+    a, b = op_a.flip, op_b.flip
     diff = (
         _bits.xor_permute(da, a, n)
         ^ _bits.xor_permute(db, b, n)
@@ -372,13 +360,13 @@ def joint_dimension(ops: list[StabilizerOperator], n: int) -> int:
     """
     if any(op.n != n for op in ops):
         raise ValueError(f"dimension mismatch: operators must have n={n}")
-    first = {op.i - 1: op for op in reversed(ops)}  # flip bit -> its first operator
+    first = {op.flip.bit_length() - 1: op for op in reversed(ops)}  # flip bit -> first operator
     table = conflicts = 0
     for b, op in first.items():  # the labels with bit b set, from those without
         low = table & _bits.axis_clear_mask(b, n)
         table = low | ((low << (1 << b)) ^ op.diagonal_table) & ~_bits.axis_clear_mask(b, n)
     for op in ops:
-        conflicts |= _bits.xor_permute(table ^ op.diagonal_table, 1 << (op.i - 1), n) ^ table
+        conflicts |= _bits.xor_permute(table ^ op.diagonal_table, op.flip, n) ^ table
     for b in first:  # each conflict down to its coset's label without flip bits
         conflicts = (conflicts | conflicts >> (1 << b)) & _bits.axis_clear_mask(b, n)
     return (1 << (n - len(first))) - conflicts.bit_count()

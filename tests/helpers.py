@@ -43,6 +43,17 @@ def brute_anf(tt: TruthTable) -> tuple[set[frozenset[int]], int]:
     return monomials, constant
 
 
+def evaluate_anf(h: Hypergraph, constant: int, x: int) -> int:
+    """The XOR-monomial form (h's edges, plus a constant bit) at one input
+    label, one vertex at a time."""
+    if not 0 <= x < 1 << h.n:
+        raise ValueError(f"basis label {x} out of range for n={h.n}")
+    acc = constant
+    for edge in h.edge_sets():
+        acc ^= all((x >> (v - 1)) & 1 for v in edge)
+    return acc
+
+
 def pauli_word_matrix(letters: str) -> np.ndarray:
     """Full matrix of a Pauli word; letters[i] acts on qubit i+1 (LSB first)."""
     m = PAULI[letters[0]]
@@ -233,7 +244,7 @@ def loop_bipartition_masks(n: int) -> list[int]:
 
 def loop_uniform_state_tables(n: int, k: int) -> list[int]:
     """Sign table of each nonempty choice of k-vertex edges from combinations."""
-    k_edges = [_bits.mask_from_vertices(c) for c in combinations(range(1, n + 1), k)]
+    k_edges = [_bits.mask_from_vertices(c, n) for c in combinations(range(1, n + 1), k)]
     return [
         loop_table_from_edges([e for j, e in enumerate(k_edges) if (pick >> j) & 1], n)
         for pick in range(1, 1 << len(k_edges))

@@ -23,11 +23,12 @@ def check_boolfn(seed: int) -> None:
     for _ in range(20):
         n = int(rng.integers(1, 9))
         tt = helpers.random_table(n, rng)
-        ms = boolfn.mobius_transform(tt)
-        assert ms.constant == tt[0]
+        h, constant = boolfn.mobius_transform(tt)
+        assert constant == tt[0]
         for x in rng.integers(0, tt.size, size=16):
-            assert boolfn.evaluate_anf(ms, int(x)) == tt[int(x)]
-        assert boolfn.to_truth_table(ms) == tt
+            assert helpers.evaluate_anf(h, constant, int(x)) == tt[int(x)]
+        monomials = [*h.masks.tolist(), 0] if constant else h.masks  # 0: the empty monomial
+        assert boolfn.TruthTable(n, _bits.table_from_edges(monomials, n)) == tt
 
 
 def check_hypergraph(seed: int) -> None:
@@ -70,10 +71,9 @@ def check_statesim(seed: int, graphs: int = 500) -> None:
         edge = _bits.vertices_from_mask(int(rng.integers(1, 1 << n)))
         toggled = statesim.build_state(hypergraph.toggle_edge(h, edge))
         assert toggled.signs == statesim.apply_ckz(statesim.build_state(h), edge).signs
-        ms = boolfn.MonomialSet(n, h.edge_sets(), 0)
         s = statesim.build_state(h)
         for x in rng.integers(0, 1 << n, size=8):
-            assert ((s.signs >> int(x)) & 1) == boolfn.evaluate_anf(ms, int(x))
+            assert ((s.signs >> int(x)) & 1) == helpers.evaluate_anf(h, 0, int(x))
     # X conjugation: X_i C^kZ_e X_i == C^kZ_e C^{k-1}Z_{e\{i}} on dense states, n<=6
     for _ in range(25):
         n = int(rng.integers(2, 7))

@@ -3,8 +3,9 @@ import pytest
 import helpers
 import invariant_suite
 import numpy as np
-from hgsim import boolfn
+from hgsim import _bits, boolfn
 from hgsim.errors import FormatError
+from hgsim.hypergraph import Hypergraph
 
 
 def test_hex_parse_zero_function():
@@ -54,32 +55,32 @@ def test_text_format_errors(text):
 
 
 def test_mobius_zero_function():
-    ms = boolfn.mobius_transform(boolfn.TruthTable(3, 0))
-    assert ms.monomials == frozenset() and ms.constant == 0
+    h, constant = boolfn.mobius_transform(boolfn.TruthTable(3, 0))
+    assert h == Hypergraph(3, []) and constant == 0
 
 
 def test_mobius_single_one_gives_full_monomial():
     tt = boolfn.TruthTable(3, 0x80)
-    ms = boolfn.mobius_transform(tt)
-    assert ms.monomials == frozenset({frozenset({1, 2, 3})})
-    assert ms.constant == 0
-    assert helpers.brute_anf(tt) == (set(ms.monomials), 0)
+    h, constant = boolfn.mobius_transform(tt)
+    assert h.edge_sets() == frozenset({frozenset({1, 2, 3})})
+    assert constant == 0
+    assert helpers.brute_anf(tt) == (set(h.edge_sets()), 0)
 
 
 def test_mobius_mixed_order_example():
-    ms = boolfn.mobius_transform(boolfn.truth_table_from_hex("EA", 3))
-    assert ms.monomials == frozenset(
+    h, constant = boolfn.mobius_transform(boolfn.truth_table_from_hex("EA", 3))
+    assert h.edge_sets() == frozenset(
         {frozenset({1}), frozenset({2, 3}), frozenset({1, 2, 3})}
     )
-    assert ms.constant == 0
+    assert constant == 0
 
 
 def test_mobius_matches_subset_sum_oracle_exhaustively():
     for n in (1, 2, 3):
         for bits in range(1 << (1 << n)):
             tt = boolfn.TruthTable(n, bits)
-            ms = boolfn.mobius_transform(tt)
-            assert (set(ms.monomials), ms.constant) == helpers.brute_anf(tt)
+            h, constant = boolfn.mobius_transform(tt)
+            assert (set(h.edge_sets()), constant) == helpers.brute_anf(tt)
 
 
 def test_mobius_matches_subset_sum_oracle_random():
@@ -87,45 +88,53 @@ def test_mobius_matches_subset_sum_oracle_random():
     for _ in range(25):
         n = int(rng.integers(4, 7))
         tt = helpers.random_table(n, rng)
-        ms = boolfn.mobius_transform(tt)
-        assert (set(ms.monomials), ms.constant) == helpers.brute_anf(tt)
+        h, constant = boolfn.mobius_transform(tt)
+        assert (set(h.edge_sets()), constant) == helpers.brute_anf(tt)
+
+
+def anf_table(h: Hypergraph) -> boolfn.TruthTable:
+    """The monomial form of h's edges (constant 0) on every input, by the
+    package's edges -> table kernel."""
+    return boolfn.TruthTable(h.n, _bits.table_from_edges(h.masks, h.n))
 
 
 def test_evaluate_anf_empty_set():
-    ms = boolfn.MonomialSet(3, frozenset(), 0)
-    assert all(boolfn.evaluate_anf(ms, x) == 0 for x in range(8))
+    h = Hypergraph(3, [])
+    assert all(anf_table(h)[x] == helpers.evaluate_anf(h, 0, x) == 0 for x in range(8))
 
 
 def test_evaluate_anf_full_monomial():
-    ms = boolfn.MonomialSet(3, frozenset({frozenset({1, 2, 3})}), 0)
-    assert boolfn.evaluate_anf(ms, 7) == 1
-    assert boolfn.evaluate_anf(ms, 6) == 0
+    h = Hypergraph.from_sets(3, [{1, 2, 3}])
+    assert anf_table(h)[7] == helpers.evaluate_anf(h, 0, 7) == 1
+    assert anf_table(h)[6] == helpers.evaluate_anf(h, 0, 6) == 0
 
 
 def test_evaluate_anf_mixed_example():
-    ms = boolfn.MonomialSet(
-        3, frozenset({frozenset({1}), frozenset({2, 3}), frozenset({1, 2, 3})}), 0
-    )
+    h = Hypergraph.from_sets(3, [{1}, {2, 3}, {1, 2, 3}])
     # x = 5: qubits 1 and 3 excited
-    assert boolfn.evaluate_anf(ms, 5) == 1
+    assert anf_table(h)[5] == helpers.evaluate_anf(h, 0, 5) == 1
 
 
 def test_evaluate_anf_out_of_range():
-    ms = boolfn.MonomialSet(3, frozenset(), 0)
+    h = Hypergraph(3, [])
+    with pytest.raises(IndexError):
+        anf_table(h)[8]
     with pytest.raises(ValueError):
-        boolfn.evaluate_anf(ms, 8)
+        helpers.evaluate_anf(h, 0, 8)
 
 
-def test_monomial_set_rejects_empty_monomial():
+def test_empty_monomial_is_the_constant_not_an_edge():
     with pytest.raises(ValueError):
-        boolfn.MonomialSet(3, frozenset({frozenset()}), 0)
+        Hypergraph(3, {0})
+    h, constant = boolfn.mobius_transform(boolfn.TruthTable(3, 0xFF))
+    assert h.masks.size == 0 and constant == 1
 
 
 def test_constant_is_value_at_zero():
     rng = np.random.default_rng(3)
     for _ in range(20):
         tt = helpers.random_table(int(rng.integers(1, 8)), rng)
-        assert boolfn.mobius_transform(tt).constant == tt[0]
+        assert boolfn.mobius_transform(tt)[1] == tt[0]
 
 
 def test_invariant_suite():

@@ -258,7 +258,7 @@ def test_entangle_output_is_golden(tmp_path, capsys):
 def test_verify_names_the_label_of_a_failing_commutator(grover_graph, monkeypatch, capsys):
     # swap in an operator of another graph: X2 Z1 does not commute with X1 C2Z(2,3)
     real = statesim.stabilizer
-    wrong = statesim.StabilizerOperator(3, 2, frozenset({frozenset({1})}))
+    wrong = statesim.StabilizerOperator.from_sets(3, 2, [{1}])
     monkeypatch.setattr(statesim, "stabilizer", lambda h, i: wrong if i == 2 else real(h, i))
     code, out, err = run_cli(["verify", grover_graph, "--seed", "9"], capsys)
     assert code == 1

@@ -1,6 +1,7 @@
 """Property tests: the linear-time bit kernels and the mask-native text layer
 against the loop oracles in helpers.py."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -50,13 +51,14 @@ def test_pack_inverts_unpack(case):
 @given(tables())
 def test_set_bits_matches_loop_on_tables(case):
     _, table = case
-    assert _bits.set_bits(table) == helpers.loop_set_bits(table)
+    got = _bits.set_bits(table)
+    assert got.dtype == np.uint64 and got.tolist() == helpers.loop_set_bits(table)
 
 
 @PROPERTY
 @given(st.integers(0, (1 << 64) - 1))
 def test_set_bits_matches_loop_on_label_masks(mask):
-    assert _bits.set_bits(mask) == helpers.loop_set_bits(mask)
+    assert _bits.set_bits(mask).tolist() == helpers.loop_set_bits(mask)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_N + 1))
@@ -213,7 +215,7 @@ def test_stabilizers_match_the_frozenset_oracle(case):
     tuples = [helpers.set_neighbour_masks(edges, i) for i in range(1, n + 1)]
     for op, want in zip(ops, tuples):
         assert op.masks.tolist() == sorted(want) and not op.masks.flags.writeable
-        oracle = statesim.StabilizerOperator.from_masks(n, op.i, want)
+        oracle = statesim.StabilizerOperator(n, op.i, want)
         assert op == oracle and hash(op) == hash(oracle)
     assert statesim.operator_texts(ops) == [
         helpers.set_operator_text(op.i, want) for op, want in zip(ops, tuples)
@@ -361,15 +363,61 @@ def test_edge_and_tuple_checks_name_the_first_bad_mask(case):
             Hypergraph(n, masks)
     bad_tuple = helpers.loop_mask_check(masks, n, clear=1 << (i - 1))
     if bad_tuple is None:
-        assert statesim.StabilizerOperator.from_masks(n, i, masks).masks.tolist() == sorted(masks)
+        assert statesim.StabilizerOperator(n, i, masks).masks.tolist() == sorted(masks)
     else:
         with pytest.raises(ValueError) as err:
-            statesim.StabilizerOperator.from_masks(n, i, masks)
+            statesim.StabilizerOperator(n, i, masks)
         if 0 <= bad_tuple < 1 << n:
             vertices = sorted(_bits.vertices_from_mask(bad_tuple))
             assert str(err.value) == f"tuple {vertices} must not contain the flip vertex"
         else:
             assert str(err.value) == f"tuple mask {bad_tuple:#x} out of range for n={n}"
+
+
+@pytest.mark.parametrize("masks", [
+    {1.5, 2},
+    np.array([1.9, 3.0]),
+    {"3"},
+    [2, np.float64(1.0)],
+    np.array([True, False]),
+    {frozenset({1, 2})},  # a vertex set where a mask belongs
+])
+def test_edge_and_tuple_checks_reject_non_integer_masks(masks):
+    with pytest.raises(TypeError):
+        Hypergraph(3, masks)
+    with pytest.raises(TypeError):
+        statesim.StabilizerOperator(3, 3, masks)
+
+
+def test_signed_mask_arrays_are_checked_like_python_ints():
+    for n in (3, 64):
+        with pytest.raises(ValueError, match=f"^edge mask -0x1 invalid for n={n}$"):
+            Hypergraph(n, np.array([2, -1], dtype=np.int64))
+        assert Hypergraph(n, np.array([3, 1], dtype=np.int8)) == Hypergraph(n, {1, 3})
+
+
+# ---- every vertex set becomes a mask through one check
+
+VERTEX_SET_ENTRY_POINTS = {
+    "Hypergraph.from_sets": lambda vs: Hypergraph.from_sets(3, [vs]),
+    "toggle_edge": lambda vs: hypergraph.toggle_edge(Hypergraph(3, {0b11, 0b100}), vs),
+    "apply_ckz": lambda vs: statesim.apply_ckz(statesim.StateVector(3, signs=0b10010110), vs).signs,
+    "StabilizerOperator.from_sets": lambda vs: statesim.StabilizerOperator.from_sets(3, 3, [vs]),
+    "reduced_density": lambda vs: entanglement.reduced_density(
+        statesim.StateVector(3, signs=0b10010110), vs
+    ).tolist(),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VERTEX_SET_ENTRY_POINTS))
+def test_vertex_sets_pass_one_check(entry):
+    call = VERTEX_SET_ENTRY_POINTS[entry]
+    want = call([1, 2])
+    for vertices in (np.array([1, 2]), np.array([2, 1], dtype=np.uint8), (np.int16(1), 2)):
+        assert call(vertices) == want
+    for bad in (0, 4, 1.5, "1"):
+        with pytest.raises(ValueError, match=f"^vertex {re.escape(repr(bad))} out of range 1..3$"):
+            call([1, bad])
 
 
 # ---- the numpy text layer against the line loops and the old sort key
