@@ -16,8 +16,8 @@ table -> set labels is ``set_bits``; label mask -> bits or vertices is
 place a vertex is checked and made a bit; the labels of weight k (k-uniform
 edge slots, bipartition sides) are ``set_bits(weight_mask(n, k))``; the
 labels a cut's side and its complement span are ``deposit``; a set of masks
-becomes a checked uint64 array through ``mask_set``, and ``first_bad_mask``
-names a mask it rejects.
+becomes a checked uint64 array through ``mask_set``, which names a mask it
+rejects by ``first_bad_mask``.
 
 A set of label masks passes between modules in one form: an ascending
 uint64 array, as ``set_bits`` returns it and ``mask_set`` stores it.
@@ -103,10 +103,7 @@ def table_from_edges(masks: Iterable[int] | np.ndarray, n: int) -> int:
 @lru_cache(maxsize=None)
 def weight_mask(n: int, k: int) -> int:
     """Table mask of the labels with exactly k bits set."""
-    popcount = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        popcount = np.concatenate((popcount, popcount + 1))
-    return pack(popcount == k)
+    return pack(np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) == k)
 
 
 def set_bits(table: int) -> np.ndarray:
@@ -138,30 +135,32 @@ def deposit(masks: Collection[int] | np.ndarray, width: int) -> np.ndarray:
 
 
 def mask_set(
-    masks: Collection[int] | np.ndarray, allowed: int, empty_ok: bool = True
-) -> np.ndarray | None:
-    """The distinct masks (integers, or an integer array) as a new ascending,
-    read-only uint64 array; None if a mask has a bit outside ``allowed`` (as
-    any negative mask has) or, unless ``empty_ok``, is 0.  One OR decides, and
-    ``first_bad_mask`` names the culprit.  An ascending input is not sorted.
-    A mask that is not an integer, or an array of another dtype, raises
-    TypeError."""
+    masks: Iterable[int] | np.ndarray, allowed: int, empty_ok: bool = True
+) -> tuple[np.ndarray, None] | tuple[None, int]:
+    """(array, None): the distinct masks (integers, or an integer array) as a
+    new ascending, read-only uint64 array.  (None, bad): ``bad`` is the first
+    mask with a bit outside ``allowed`` (as any negative mask has) or, unless
+    ``empty_ok``, 0.  The input is read once; one OR decides, and only a
+    rejected input is searched for its culprit.  An ascending input is not
+    sorted.  A mask that is not an integer, or an array of another dtype,
+    raises TypeError."""
     if not isinstance(masks, np.ndarray):
+        values = list(map(index, masks))
         try:
-            masks = np.array(list(map(index, masks)), dtype=np.uint64)
+            masks = np.array(values, dtype=np.uint64)
         except OverflowError:  # a Python int below 0 or past 64 bits
-            return None
+            return None, first_bad_mask(values, allowed, empty_ok)
     elif masks.dtype.kind not in "iu":
         raise TypeError(f"mask array of dtype {masks.dtype}, not of integers")
     # on a signed array, a negative mask makes the OR negative
     if int(np.bitwise_or.reduce(masks, initial=0)) & ~allowed or not (empty_ok or masks.all()):
-        return None
+        return None, first_bad_mask(masks, allowed, empty_ok)
     array = masks.astype(np.uint64)  # a copy: made read-only below
     if not (array[1:] > array[:-1]).all():
         array.sort()  # np.unique would take about 20 times as long
         array = array[np.concatenate(([True], array[1:] != array[:-1]))]
     array.flags.writeable = False
-    return array
+    return array, None
 
 
 def first_bad_mask(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from operator import add
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -50,12 +50,11 @@ class Hypergraph:
     n: int
     masks: np.ndarray
 
-    def __init__(self, n: int, edges: Collection[int] | np.ndarray) -> None:
+    def __init__(self, n: int, edges: Iterable[int] | np.ndarray) -> None:
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
-        masks = _bits.mask_set(edges, (1 << n) - 1, empty_ok=False)
+        masks, bad = _bits.mask_set(edges, (1 << n) - 1, empty_ok=False)
         if masks is None:
-            bad = _bits.first_bad_mask(edges, (1 << n) - 1, empty_ok=False)
             raise ValueError(f"edge mask {bad:#x} invalid for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", masks)

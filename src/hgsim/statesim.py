@@ -7,7 +7,9 @@ Two amplitude backends:
   layers on the uniform superposition stays here with zero rounding, so
   equality checks are bit-perfect.
 * ``complex``: a dense complex128 vector, used for Y gates and the random
-  probes of ``commutator_residual``, which no command runs.
+  probes of ``commutator_residual``, which no command runs.  It lives in
+  memory only: ``dump``/``load``, ``apply_stabilizer`` and
+  ``uniqueness_check`` take sign states alone.
 
 Conversions between backends are explicit (``to_dense``); nothing converts
 silently.
@@ -34,7 +36,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
-from typing import Collection, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -108,13 +110,6 @@ class StateVector:
         if self.backend == "complex":
             return self
         return StateVector(self.n, amps=self.dense_array())
-
-    def amplitude(self, x: int) -> complex:
-        if not 0 <= x < self.dim:
-            raise IndexError(f"basis label {x} out of range")
-        if self.signs is not None:
-            return (-1.0 if (self.signs >> x) & 1 else 1.0) / np.sqrt(self.dim)
-        return complex(self.amps[x])
 
 
 def _signs_to_pm1(signs: int, n: int) -> np.ndarray:
@@ -198,13 +193,12 @@ class StabilizerOperator:
     masks: np.ndarray
     flip: int  # the label mask of vertex i
 
-    def __init__(self, n: int, i: int, masks: Collection[int] | np.ndarray = ()) -> None:
+    def __init__(self, n: int, i: int, masks: Iterable[int] | np.ndarray = ()) -> None:
         """The operator of tuple masks (integers or an integer array); repeats count once."""
         flip = _bits.mask_from_vertices([i], n)
         allowed = ((1 << n) - 1) ^ flip
-        array = _bits.mask_set(masks, allowed)
+        array, bad = _bits.mask_set(masks, allowed)
         if array is None:
-            bad = _bits.first_bad_mask(masks, allowed)
             if not 0 <= bad < 1 << n:
                 raise ValueError(f"tuple mask {bad:#x} out of range for n={n}")
             raise ValueError(f"tuple {_bits.mask_bits(bad, 1)} must not contain the flip vertex")
@@ -288,10 +282,9 @@ def apply_stabilizer(s: StateVector, op: StabilizerOperator) -> StateVector:
     """Apply the phase gates, then the bit flip (tuple scalar included)."""
     if s.n != op.n:
         raise ValueError(f"dimension mismatch: state n={s.n}, operator n={op.n}")
-    if s.backend == "sign":
-        signs = _bits.xor_permute(s.signs ^ op.diagonal_table, op.flip, s.n)
-        return StateVector(s.n, signs=signs)
-    return StateVector(s.n, amps=_apply_stabilizer_raw(s.amps, op))
+    if s.backend != "sign":
+        raise ValueError("apply_stabilizer needs the exact sign backend")
+    return StateVector(s.n, signs=_bits.xor_permute(s.signs ^ op.diagonal_table, op.flip, s.n))
 
 
 def verify_stabilized(h: Hypergraph) -> bool:
@@ -320,11 +313,6 @@ def commutation_witness(op_a: StabilizerOperator, op_b: StabilizerOperator) -> i
         ^ _bits.xor_permute(da ^ db, a ^ b, n)
     )
     return (diff & -diff).bit_length() - 1 if diff else None
-
-
-def commutes(op_a: StabilizerOperator, op_b: StabilizerOperator) -> bool:
-    """Exact commutation test on sign tables."""
-    return commutation_witness(op_a, op_b) is None
 
 
 def commutator_residual(
@@ -372,21 +360,12 @@ def joint_dimension(ops: list[StabilizerOperator], n: int) -> int:
     return (1 << (n - len(first))) - conflicts.bit_count()
 
 
-def uniqueness_check(
-    h: Hypergraph,
-    *,
-    state: StateVector | None = None,
-    ops: list[StabilizerOperator] | None = None,
-) -> bool:
-    """Exact certificate that the state spans the joint +1 eigenspace of the
-    correlation operators: joint_dimension is 1 and every operator fixes the
-    state's sign table.  ``state`` (sign backend) and ``ops`` default to
-    build_state(h) and every vertex's stabilizer; pass them to reuse ones
-    already built.
+def uniqueness_check(h: Hypergraph, *, ops: list[StabilizerOperator] | None = None) -> bool:
+    """Exact certificate that the built state spans the joint +1 eigenspace of
+    the correlation operators: joint_dimension is 1 and every operator fixes
+    the state's sign table.  ``ops`` defaults to every vertex's stabilizer.
     """
-    s = state if state is not None else build_state(h)
-    if s.backend != "sign":
-        raise ValueError("uniqueness_check needs the exact sign backend")
+    s = build_state(h)
     ops = ops if ops is not None else [stabilizer(h, i) for i in range(1, h.n + 1)]
     fixed = all(apply_stabilizer(s, op).signs == s.signs for op in ops)
     return fixed and joint_dimension(ops, h.n) == 1
@@ -435,15 +414,13 @@ def _sign_lines(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dump(s: StateVector) -> str:
-    """State dump: header `n <int> backend <sign|complex>`, one line per label."""
-    head = f"n {s.n} backend {s.backend}\n"
-    if s.backend == "sign":
-        lines, signs = _sign_lines(s.n)
-        lines[signs[_bits.unpack(s.signs, s.dim).view(bool)]] = ord("-")
-        return head + lines.tobytes().decode("ascii")
-    return head + "".join(
-        f"{x} {float(s.amps[x].real)!r} {float(s.amps[x].imag)!r}\n" for x in range(s.dim)
-    )
+    """State dump of a sign state: header `n <int> backend sign`, then one
+    `x +|-` line per label."""
+    if s.backend != "sign":
+        raise ValueError("dump needs the exact sign backend")
+    lines, signs = _sign_lines(s.n)
+    lines[signs[_bits.unpack(s.signs, s.dim).view(bool)]] = ord("-")
+    return f"n {s.n} backend sign\n" + lines.tobytes().decode("ascii")
 
 
 def load(text: str) -> StateVector:
@@ -492,28 +469,16 @@ def _load_lines(text: str) -> StateVector:
         raise FormatError(f"bad qubit count {head[1]!r}") from None
     if not 1 <= n <= MAX_QUBITS:  # before 2**n is formed
         raise FormatError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-    backend = head[3]
-    if backend not in ("sign", "complex"):
-        raise FormatError(f"unknown backend {backend!r}")
+    if head[3] != "sign":
+        raise FormatError(f"unknown backend {head[3]!r}")
     body = lines[1:]
     if len(body) != 1 << n:
         raise FormatError(f"expected {1 << n} amplitude lines, got {len(body)}")
-    if backend == "sign":
-        minus = bytearray(len(body))
-        for expect, line in enumerate(body):
-            fields = line.split()
-            if len(fields) != 2 or fields[0] != str(expect) or fields[1] not in ("+", "-"):
-                raise FormatError(f"bad sign line {line!r}")
-            if fields[1] == "-":
-                minus[expect] = 1
-        return StateVector(n, signs=_bits.pack(minus))
-    amps = np.empty(1 << n, dtype=complex)
+    minus = bytearray(len(body))
     for expect, line in enumerate(body):
         fields = line.split()
-        if len(fields) != 3 or fields[0] != str(expect):
-            raise FormatError(f"bad amplitude line {line!r}")
-        try:
-            amps[expect] = complex(float(fields[1]), float(fields[2]))
-        except ValueError:
-            raise FormatError(f"bad amplitude line {line!r}") from None
-    return StateVector(n, amps=amps)
+        if len(fields) != 2 or fields[0] != str(expect) or fields[1] not in ("+", "-"):
+            raise FormatError(f"bad sign line {line!r}")
+        if fields[1] == "-":
+            minus[expect] = 1
+    return StateVector(n, signs=_bits.pack(minus))

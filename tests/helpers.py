@@ -62,10 +62,6 @@ def pauli_word_matrix(letters: str) -> np.ndarray:
     return m
 
 
-def dense_state(s: StateVector) -> np.ndarray:
-    return s.dense_array().copy()
-
-
 def loop_partial_trace(psi: np.ndarray, n: int, subsystem) -> np.ndarray:
     """Partial trace by explicit label arithmetic."""
     kept = sorted(subsystem)

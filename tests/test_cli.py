@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from hgsim import boolfn, cli, entanglement, hypergraph, orbits, statesim
+from hgsim import boolfn, cli, entanglement, extract, hypergraph, orbits, statesim
 
 GROVER3 = "n 3\ne 1 2 3\n"
 MIXED3_TABLE = "n 3\nEA\n"
@@ -183,6 +183,43 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(["build", "/nonexistent/file.gr"], capsys)
     assert code == 2 and err != ""
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("verify", "n 3\ne 1\nn 3\n", "line 3: repeated vertex-count line"),
+        ("verify", "n\ne 1\n", "line 1: expected 'n <int>'"),
+        ("verify", "n 65\ne 1\n", "line 1: vertex count 65 out of range"),
+        ("verify", "n 3\ne 1 x\n", "line 2: non-integer vertex"),
+        ("verify", "n x\ne 1\n", "line 1: bad vertex count 'x'"),
+        ("verify", "x\n", "line 1: unknown directive 'x'"),
+        ("extract", "", "empty input"),
+        ("extract", "x 3\n", "unrecognized first line 'x 3'"),
+        # complex amplitudes are never written to a dump
+        ("extract", "n 1 backend complex\n0 1.0 0.0\n1 0.0 0.0\n", "unknown backend 'complex'"),
+    ],
+)
+def test_faulty_input_exits_2_naming_the_fault(command, text, message, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run_cli([command, str(path)], capsys) == (2, "", f"hgsim: {message}\n")
+
+
+def test_extract_fails_when_the_two_routes_disagree(mixed_table, monkeypatch, capsys):
+    monkeypatch.setattr(extract, "extract_fast", lambda tt: hypergraph.Hypergraph(tt.n, ()))
+    assert run_cli(["extract", mixed_table], capsys) == (
+        1, "", "extraction mismatch between layered and fast routes\n"
+    )
+
+
+def test_selftest_fails_when_an_item_fails(monkeypatch, capsys):
+    monkeypatch.setattr(statesim, "uniqueness_check", lambda h, **kw: False)
+    code, out, err = run_cli(["selftest"], capsys)
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.endswith("FAIL")] == [
+        "seven-vertex FAIL", "selftest FAIL"
+    ]
 
 
 def test_usage_error_exits_2():

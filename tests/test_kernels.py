@@ -356,22 +356,23 @@ def test_orbit_key_of_a_dense_state_matches_the_label_loop(case, angle):
 def test_edge_and_tuple_checks_name_the_first_bad_mask(case):
     n, i, masks = case
     bad_edge = helpers.loop_mask_check(masks, n, empty_ok=False)
-    if bad_edge is None:
-        assert Hypergraph(n, masks).edges == masks
-    else:
-        with pytest.raises(ValueError, match=f"^edge mask {bad_edge:#x} invalid for n={n}$"):
-            Hypergraph(n, masks)
     bad_tuple = helpers.loop_mask_check(masks, n, clear=1 << (i - 1))
-    if bad_tuple is None:
-        assert statesim.StabilizerOperator(n, i, masks).masks.tolist() == sorted(masks)
-    else:
-        with pytest.raises(ValueError) as err:
-            statesim.StabilizerOperator(n, i, masks)
-        if 0 <= bad_tuple < 1 << n:
-            vertices = sorted(_bits.vertices_from_mask(bad_tuple))
-            assert str(err.value) == f"tuple {vertices} must not contain the flip vertex"
+    for read in (frozenset, iter):  # an iterator can be read only once
+        if bad_edge is None:
+            assert Hypergraph(n, read(masks)).edges == masks
         else:
-            assert str(err.value) == f"tuple mask {bad_tuple:#x} out of range for n={n}"
+            with pytest.raises(ValueError, match=f"^edge mask {bad_edge:#x} invalid for n={n}$"):
+                Hypergraph(n, read(masks))
+        if bad_tuple is None:
+            assert statesim.StabilizerOperator(n, i, read(masks)).masks.tolist() == sorted(masks)
+        else:
+            with pytest.raises(ValueError) as err:
+                statesim.StabilizerOperator(n, i, read(masks))
+            if 0 <= bad_tuple < 1 << n:
+                vertices = sorted(_bits.vertices_from_mask(bad_tuple))
+                assert str(err.value) == f"tuple {vertices} must not contain the flip vertex"
+            else:
+                assert str(err.value) == f"tuple mask {bad_tuple:#x} out of range for n={n}"
 
 
 @pytest.mark.parametrize("masks", [
