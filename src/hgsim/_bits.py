@@ -102,8 +102,15 @@ def table_from_edges(masks: Iterable[int] | np.ndarray, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def weight_mask(n: int, k: int) -> int:
-    """Table mask of the labels with exactly k bits set."""
-    return pack(np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) == k)
+    """Table mask of the labels with exactly k bits set.
+
+    A label's popcount is that of its high n - n//2 bits plus that of its
+    low n//2 bits, so the mask in label order is one outer comparison (high
+    bits by row) of two popcount arrays of about 2**(n/2) entries, the low
+    one a prefix of the high one.
+    """
+    counts = np.bitwise_count(np.arange(1 << (n - n // 2), dtype=np.uint32)).astype(np.int8)
+    return pack(np.equal.outer(counts, k - counts[:1 << n // 2]))
 
 
 def set_bits(table: int) -> np.ndarray:

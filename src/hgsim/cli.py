@@ -85,7 +85,7 @@ def _load_graph(text: str) -> hypergraph.Hypergraph:
 
 
 def _load_table(text: str) -> boolfn.TruthTable:
-    """Accept the truth-table format or a sign-backend state dump."""
+    """Accept the truth-table format or a state dump."""
     kind = _sniff(text)
     if kind == "state dump":
         state = statesim.load(text)

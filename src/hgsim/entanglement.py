@@ -21,24 +21,18 @@ _BLOCK_ENTRIES = 1 << 14  # amplitudes gathered per block of cuts in the sweep
 
 
 def reduced_density(s: StateVector, subsystem) -> np.ndarray:
-    """Partial trace onto a vertex subset; real symmetric for sign-backend states.
+    """Partial trace onto a vertex subset; real symmetric.
 
-    Sign-backend entries are sums of +-1/2**n terms, all exactly
-    representable, so the trace is exactly 1.0 there.  Row index r encodes
-    the j-th smallest kept qubit at bit j-1, matching the global label
-    convention.
+    Its entries are sums of +-1/2**n terms, all exactly representable, so
+    the trace is exactly 1.0.  Row index r encodes the j-th smallest kept
+    qubit at bit j-1, matching the global label convention.
     """
     mask = _bits.mask_from_vertices(subsystem, s.n)
     k = mask.bit_count()
     if not 1 <= k < s.n:
         raise ValueError("subsystem must satisfy 1 <= |A| <= n-1")
     rows, cols = _deposits([mask], s.n, k)
-    return _grams(_entries(s), s, rows, cols)[0]
-
-
-def _entries(s: StateVector) -> np.ndarray:
-    """The raw +-1 signs of a sign-backend state, else its amplitudes."""
-    return _signs_to_pm1(s.signs, s.n) if s.backend == "sign" else s.amps
+    return _grams(_signs_to_pm1(s.signs, s.n), rows, cols)[0]
 
 
 def _deposits(cuts, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -48,14 +42,13 @@ def _deposits(cuts, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _bits.deposit(cuts, k), _bits.deposit(~cuts & ((1 << n) - 1), n - k)
 
 
-def _grams(entries: np.ndarray, s: StateVector, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The reduced density of each cut in a stack, from one gather."""
-    m = np.take(entries, rows[:, :, None] | cols[:, None, :])
-    if s.backend == "sign":
-        # Gram matrices over raw +-1 entries, then one power-of-two division:
-        # every entry is a dyadic rational, computed without rounding.
-        return (m @ m.transpose(0, 2, 1)) / s.dim
-    return m @ m.conj().transpose(0, 2, 1)
+def _grams(pm1: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The reduced density of each cut in a stack, from one gather of a
+    state's +-1 signs.  Gram matrices over the raw signs, then one
+    power-of-two division: every entry is a dyadic rational, computed
+    without rounding."""
+    m = np.take(pm1, rows[:, :, None] | cols[:, None, :])
+    return (m @ m.transpose(0, 2, 1)) / pm1.size
 
 
 def _check_hermitian(matrices: np.ndarray) -> None:
@@ -121,13 +114,13 @@ def genuine_multipartite_geometric(s: StateVector) -> BipartitionReport:
         raise ValueError("entanglement needs at least two qubits")
     if s.n > MAX_QUBITS:
         raise ValueError(f"bipartition sweep is capped at n={MAX_QUBITS}")
-    entries = _entries(s)
+    pm1 = _signs_to_pm1(s.signs, s.n)
     step = _BLOCK_ENTRIES >> s.n  # cuts per block, at least 4 under the cap
     cuts = []
     for k, side in _cut_classes(s.n):
         rows, cols = _deposits(side, s.n, k)
         for lo in range(0, len(side), step):
-            grams = _grams(entries, s, rows[lo:lo + step], cols[lo:lo + step])
+            grams = _grams(pm1, rows[lo:lo + step], cols[lo:lo + step])
             _check_hermitian(grams)
             cuts += zip(side[lo:lo + step].tolist(), np.linalg.eigvalsh(grams)[:, -1].tolist())
     return BipartitionReport(s.n, tuple(cuts))

@@ -31,7 +31,6 @@ from .statesim import StateVector
 REPORT_QUBITS = (3, 4, 5, 6)  # the qubit counts of the inequivalence report
 MAX_QUBITS = 4  # orbit enumeration cap: an orbit has up to 4**n keys
 _CHUNK_EDGES = 10  # the report spans 2**10 states per array (512 KB at n = 6)
-_REW_ATOL = 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -43,18 +42,7 @@ class OrbitKey:
 
     @classmethod
     def from_state(cls, s: StateVector) -> "OrbitKey":
-        if s.backend == "sign":
-            return cls(s.n, _canonical(s.signs, s.n))
-        amps = s.amps
-        scale = 1.0 / np.sqrt(s.dim)
-        if abs(amps[0]) < scale / 2:
-            raise ValueError("state is not equally weighted +-1 up to a global phase")
-        flat = amps / (amps[0] / abs(amps[0]))
-        if np.max(np.abs(flat.imag)) > _REW_ATOL or np.max(
-            np.abs(np.abs(flat.real) - scale)
-        ) > _REW_ATOL:
-            raise ValueError("state is not equally weighted +-1 up to a global phase")
-        return cls(s.n, _canonical(_bits.pack(flat.real < 0), s.n))
+        return cls(s.n, _canonical(s.signs, s.n))
 
 
 def _canonical(table, n: int):

@@ -1,18 +1,11 @@
 """Exact dense simulation of phase-flip circuits and their correlation operators.
 
-Two amplitude backends:
-
-* ``sign``: every amplitude is exactly +-1/sqrt(2**n), stored as one big
-  integer of sign bits (bit x set = minus).  Everything built from C^kZ
-  layers on the uniform superposition stays here with zero rounding, so
-  equality checks are bit-perfect.
-* ``complex``: a dense complex128 vector, used for Y gates and the random
-  probes of ``commutator_residual``, which no command runs.  It lives in
-  memory only: ``dump``/``load``, ``apply_stabilizer`` and
-  ``uniqueness_check`` take sign states alone.
-
-Conversions between backends are explicit (``to_dense``); nothing converts
-silently.
+A state is an equally weighted state, sum over x of (-1)^f(x) |x> / sqrt(2**n),
+held as the sign table of f: one big integer of sign bits (bit x set =
+minus).  Everything built from C^kZ layers, local X and local Z on the
+uniform superposition stays in this form with zero rounding, so equality
+checks are bit-perfect.  A local Y is i times XZ, and that factor of i has
+no sign table, so Y is refused.
 
 A correlation operator K_i is a bit flip on one vertex times a product of
 phase gates over that vertex's neighbourhood tuples (the empty tuple stands
@@ -27,7 +20,8 @@ many tuples it carries.
 Commutation and uniqueness are decided exactly on sign tables
 (``commutation_witness`` names the first label where the two products
 differ; ``joint_dimension`` counts the joint +1 eigenspace), so ``verify``
-draws no random probe.
+draws no random probe.  The complex vectors of ``random_state`` and
+``commutator_residual`` are probes that no command runs.
 """
 
 from __future__ import annotations
@@ -45,90 +39,43 @@ from .boolfn import MAX_QUBITS, TruthTable
 from .errors import FormatError
 from .hypergraph import Hypergraph, _edge_texts, edge_mask, neighbour_masks, sorted_masks
 
-ATOL_EQUAL = 1e-9  # amplitude comparisons on the complex backend
-ATOL_NORM = 1e-12  # squared-norm checks
-
 _SIGN_HEADER = re.compile(r"n ([1-9][0-9]?) backend sign\n")
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """An n-qubit pure state on the exact sign backend or the complex backend."""
+    """An n-qubit equally weighted state: bit x of ``signs`` set means the
+    amplitude at label x is -1/sqrt(2**n), else +1/sqrt(2**n)."""
 
     n: int
-    signs: int | None = None
-    amps: np.ndarray | None = None
+    signs: int
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
-        if (self.signs is None) == (self.amps is None):
-            raise ValueError("exactly one of signs/amps must be given")
-        if self.signs is not None:
-            if not 0 <= self.signs < 1 << self.dim:
-                raise ValueError("sign table does not fit 2**n bits")
-        else:
-            amps = np.asarray(self.amps, dtype=complex)
-            if amps.shape != (self.dim,):
-                raise ValueError(f"amplitude vector must have length {self.dim}")
-            if not abs(np.vdot(amps, amps).real - 1.0) <= ATOL_NORM:  # NaN fails too
-                raise ValueError("state is not normalized")
-            amps = amps.copy()
-            amps.flags.writeable = False
-            object.__setattr__(self, "amps", amps)
+        if not 0 <= self.signs < 1 << self.dim:
+            raise ValueError("sign table does not fit 2**n bits")
 
     @property
     def dim(self) -> int:
         return 1 << self.n
 
-    @property
-    def backend(self) -> str:
-        return "sign" if self.signs is not None else "complex"
-
     @classmethod
     def plus_state(cls, n: int) -> "StateVector":
-        return cls(n, signs=0)
-
-    @classmethod
-    def sign_state(cls, n: int, signs: int) -> "StateVector":
-        return cls(n, signs=signs)
-
-    @classmethod
-    def from_amplitudes(cls, amps: np.ndarray) -> "StateVector":
-        n = int(np.log2(len(amps)) + 0.5)
-        if 1 << n != len(amps):
-            raise ValueError("amplitude vector length must be a power of two")
-        return cls(n, amps=np.asarray(amps, dtype=complex))
-
-    def dense_array(self) -> np.ndarray:
-        """The complex amplitude vector (computed for sign-backend states)."""
-        if self.amps is not None:
-            return self.amps
-        return _signs_to_amps(self.signs, self.n)
-
-    def to_dense(self) -> "StateVector":
-        if self.backend == "complex":
-            return self
-        return StateVector(self.n, amps=self.dense_array())
+        return cls(n, 0)
 
 
 def _signs_to_pm1(signs: int, n: int) -> np.ndarray:
     return 1.0 - 2.0 * _bits.unpack(signs, 1 << n)
 
 
-def _signs_to_amps(signs: int, n: int) -> np.ndarray:
-    return _signs_to_pm1(signs, n).astype(complex) / np.sqrt(1 << n)
-
-
 def rew_state(tt: TruthTable) -> StateVector:
     """The equally weighted state whose sign pattern is (-1)^f."""
-    return StateVector(tt.n, signs=tt.bits)
+    return StateVector(tt.n, tt.bits)
 
 
 def table_from_state(s: StateVector) -> TruthTable:
-    """The Boolean function behind a sign-backend state."""
-    if s.backend != "sign":
-        raise ValueError("table_from_state needs the exact sign backend")
+    """The Boolean function behind a state's signs."""
     return TruthTable(s.n, s.signs)
 
 
@@ -141,40 +88,26 @@ def build_state(h: Hypergraph) -> StateVector:
     """
     if h.n > MAX_QUBITS:
         raise ValueError(f"dense simulation is capped at n={MAX_QUBITS}")
-    return StateVector(h.n, signs=_bits.table_from_edges(h.masks, h.n))
+    return StateVector(h.n, _bits.table_from_edges(h.masks, h.n))
 
 
 def apply_ckz(s: StateVector, vertices: Iterable[int]) -> StateVector:
     """Negate every amplitude whose excitation set contains the given edge."""
-    flips = _bits.table_from_edges([edge_mask(vertices, s.n)], s.n)
-    if s.backend == "sign":
-        return StateVector(s.n, signs=s.signs ^ flips)
-    return StateVector(s.n, amps=np.where(_bits.unpack(flips, s.dim), -s.amps, s.amps))
+    return StateVector(s.n, s.signs ^ _bits.table_from_edges([edge_mask(vertices, s.n)], s.n))
 
 
 def apply_local_pauli(s: StateVector, i: int, p: str) -> StateVector:
-    """Single-qubit X, Y or Z.  Y introduces +-i factors and therefore needs
-    the complex backend; convert with to_dense() first."""
+    """Single-qubit X or Z.  Y = iXZ would add a factor of +-i, which no
+    sign table holds, so it raises ValueError; X after Z is Y up to it."""
     bit = _bits.mask_from_vertices([i], s.n)
     p = p.upper()
-    if p not in ("X", "Y", "Z"):
-        raise ValueError(f"unknown Pauli {p!r}")
-    if s.backend == "sign":
-        if p == "X":
-            return StateVector(s.n, signs=_bits.xor_permute(s.signs, bit, s.n))
-        if p == "Z":
-            return StateVector(s.n, signs=s.signs ^ _bits.table_from_edges([bit], s.n))
-        raise ValueError("Y is not representable on the sign backend; use to_dense() first")
-    idx = np.arange(s.dim)
-    hot = (idx & bit).astype(bool)
     if p == "X":
-        amps = s.amps[idx ^ bit]
-    elif p == "Z":
-        amps = np.where(hot, -s.amps, s.amps)
-    else:
-        swapped = s.amps[idx ^ bit]
-        amps = np.where(hot, 1j * swapped, -1j * swapped)
-    return StateVector(s.n, amps=amps)
+        return StateVector(s.n, _bits.xor_permute(s.signs, bit, s.n))
+    if p == "Z":
+        return StateVector(s.n, s.signs ^ _bits.table_from_edges([bit], s.n))
+    if p == "Y":
+        raise ValueError("Y is not representable on a sign state; apply Z, then X")
+    raise ValueError(f"unknown Pauli {p!r}")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -269,22 +202,20 @@ def stabilizer(h: Hypergraph, i: int) -> StabilizerOperator:
     return StabilizerOperator(h.n, i, neighbour_masks(h, i))
 
 
-def _apply_stabilizer_raw(amps: np.ndarray, op: StabilizerOperator) -> np.ndarray:
+def _apply_stabilizer_raw(v: np.ndarray, op: StabilizerOperator) -> np.ndarray:
     """The operator applied to a vector, or to each column of a 2**n x P matrix."""
     # Label bit i-1 is axis 1 of this shape, so reversing that axis flips it.
     shape = (1 << (op.n - op.i), 2, 1 << (op.i - 1))
-    flipped = amps.reshape(shape + amps.shape[1:])[:, ::-1]
-    signs = op._diagonal_pm1.reshape(shape + (1,) * (amps.ndim - 1))[:, ::-1]
-    return (flipped * signs).reshape(amps.shape)
+    flipped = v.reshape(shape + v.shape[1:])[:, ::-1]
+    signs = op._diagonal_pm1.reshape(shape + (1,) * (v.ndim - 1))[:, ::-1]
+    return (flipped * signs).reshape(v.shape)
 
 
 def apply_stabilizer(s: StateVector, op: StabilizerOperator) -> StateVector:
     """Apply the phase gates, then the bit flip (tuple scalar included)."""
     if s.n != op.n:
         raise ValueError(f"dimension mismatch: state n={s.n}, operator n={op.n}")
-    if s.backend != "sign":
-        raise ValueError("apply_stabilizer needs the exact sign backend")
-    return StateVector(s.n, signs=_bits.xor_permute(s.signs ^ op.diagonal_table, op.flip, s.n))
+    return StateVector(s.n, _bits.xor_permute(s.signs ^ op.diagonal_table, op.flip, s.n))
 
 
 def verify_stabilized(h: Hypergraph) -> bool:
@@ -316,25 +247,24 @@ def commutation_witness(op_a: StabilizerOperator, op_b: StabilizerOperator) -> i
 
 
 def commutator_residual(
-    op_a: StabilizerOperator, op_b: StabilizerOperator, probe: StateVector
+    op_a: StabilizerOperator, op_b: StabilizerOperator, probe: np.ndarray
 ) -> float:
-    """Norm of (AB - BA) applied to the probe.
+    """Norm of (AB - BA) applied to a probe vector of 2**n amplitudes.
 
     Operators of one hypergraph commute and all factors are exact +-1 signs,
-    so the residual is exactly 0.0 for them, on either backend.
+    so the residual is exactly 0.0 for them.
     """
-    if not op_a.n == op_b.n == probe.n:
+    if op_a.n != op_b.n or np.shape(probe) != (1 << op_a.n,):
         raise ValueError("dimension mismatch between operators and probe")
-    v = probe.dense_array()
-    ab = _apply_stabilizer_raw(_apply_stabilizer_raw(v, op_b), op_a)
-    ba = _apply_stabilizer_raw(_apply_stabilizer_raw(v, op_a), op_b)
+    ab = _apply_stabilizer_raw(_apply_stabilizer_raw(probe, op_b), op_a)
+    ba = _apply_stabilizer_raw(_apply_stabilizer_raw(probe, op_a), op_b)
     return float(np.linalg.norm(ab - ba))
 
 
-def random_state(n: int, rng: np.random.Generator) -> StateVector:
-    """A normalized complex Gaussian probe state."""
+def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A normalized complex Gaussian probe vector of 2**n amplitudes."""
     v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return StateVector(n, amps=v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def joint_dimension(ops: list[StabilizerOperator], n: int) -> int:
@@ -372,19 +302,11 @@ def uniqueness_check(h: Hypergraph, *, ops: list[StabilizerOperator] | None = No
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
-    """True iff a = c*b for a unit scalar c.  Exact for two sign-backend
-    states (c restricted to +-1 there; +-i cannot map a real sign pattern
-    onto another)."""
+    """True iff a = c*b for a unit scalar c, exactly.  c can only be +-1:
+    +-i cannot map a real sign pattern onto another."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: n={a.n} vs n={b.n}")
-    if a.backend == "sign" and b.backend == "sign":
-        return a.signs == b.signs or a.signs == b.signs ^ _bits.full_mask(a.n)
-    va, vb = a.dense_array(), b.dense_array()
-    j = int(np.argmax(np.abs(vb)))
-    scale = va[j] / vb[j]
-    if abs(abs(scale) - 1.0) > ATOL_EQUAL:
-        return False
-    return bool(np.allclose(va, scale * vb, rtol=0.0, atol=ATOL_EQUAL))
+    return a.signs == b.signs or a.signs == b.signs ^ _bits.full_mask(a.n)
 
 
 def _sign_lines(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,8 +338,6 @@ def _sign_lines(n: int) -> tuple[np.ndarray, np.ndarray]:
 def dump(s: StateVector) -> str:
     """State dump of a sign state: header `n <int> backend sign`, then one
     `x +|-` line per label."""
-    if s.backend != "sign":
-        raise ValueError("dump needs the exact sign backend")
     lines, signs = _sign_lines(s.n)
     lines[signs[_bits.unpack(s.signs, s.dim).view(bool)]] = ord("-")
     return f"n {s.n} backend sign\n" + lines.tobytes().decode("ascii")
@@ -452,7 +372,7 @@ def _load_plain_signs(text: str) -> StateVector | None:
     lines[signs[minus]] = ord("-")
     if not np.array_equal(got, lines):
         return None
-    return StateVector(n, signs=_bits.pack(minus))
+    return StateVector(n, _bits.pack(minus))
 
 
 def _load_lines(text: str) -> StateVector:
@@ -473,7 +393,7 @@ def _load_lines(text: str) -> StateVector:
         raise FormatError(f"unknown backend {head[3]!r}")
     body = lines[1:]
     if len(body) != 1 << n:
-        raise FormatError(f"expected {1 << n} amplitude lines, got {len(body)}")
+        raise FormatError(f"expected {1 << n} sign lines, got {len(body)}")
     minus = bytearray(len(body))
     for expect, line in enumerate(body):
         fields = line.split()
@@ -481,4 +401,4 @@ def _load_lines(text: str) -> StateVector:
             raise FormatError(f"bad sign line {line!r}")
         if fields[1] == "-":
             minus[expect] = 1
-    return StateVector(n, signs=_bits.pack(minus))
+    return StateVector(n, _bits.pack(minus))

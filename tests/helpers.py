@@ -16,7 +16,11 @@ import numpy as np
 from hgsim import _bits, statesim
 from hgsim.boolfn import TruthTable
 from hgsim.hypergraph import Hypergraph
+from hgsim.orbits import OrbitKey
 from hgsim.statesim import StateVector
+
+ATOL_NORM = 1e-12  # a projected probe this short counts as zero
+ATOL_EQUAL = 1e-9  # amplitude comparisons of dense vectors
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -62,6 +66,45 @@ def pauli_word_matrix(letters: str) -> np.ndarray:
     return m
 
 
+def amplitudes(s: StateVector) -> np.ndarray:
+    """The dense vector of a sign state, read off the binary digits of its
+    sign table: -1/sqrt(2**n) where bit x is set, else +1/sqrt(2**n)."""
+    digits = np.frombuffer(format(s.signs, f"0{s.dim}b")[::-1].encode(), dtype=np.uint8)
+    return np.where(digits == ord("1"), -1.0, 1.0) / np.sqrt(s.dim)
+
+
+def gate_diagonal(n: int, vertices) -> np.ndarray:
+    """The +-1 diagonal of C^kZ on the given 1-based vertices: -1 at each
+    label holding every one of them, tested vertex by vertex."""
+    labels = np.arange(1 << n)
+    hit = np.ones(1 << n, dtype=bool)
+    for v in vertices:
+        hit &= ((labels >> (v - 1)) & 1) == 1
+    return np.where(hit, -1.0, 1.0)
+
+
+def phase_key(psi: np.ndarray) -> OrbitKey:
+    """The orbit key of c times an equally weighted +-1 vector, |c| = 1, read
+    densely: divided by the phase of its label-0 amplitude the vector is
+    real with label 0 plus, and its minus labels are the key's table."""
+    n = len(psi).bit_length() - 1
+    flat = psi / (psi[0] / abs(psi[0]))
+    assert np.allclose(flat.imag, 0.0, rtol=0, atol=ATOL_EQUAL)
+    assert np.allclose(abs(flat.real), 1 / np.sqrt(len(psi)), rtol=0, atol=ATOL_EQUAL)
+    return OrbitKey(n, loop_minus_table(flat))
+
+
+def cut_lambda(psi: np.ndarray, mask: int) -> float:
+    """Top eigenvalue of the reduced density on the vertices of a mask: the
+    largest squared singular value of psi as a (side, rest) matrix, the
+    qubits moved by a tensor transpose (axis j of the tensor is qubit n - j)."""
+    n = len(psi).bit_length() - 1
+    side = [n - v for v in range(1, n + 1) if (mask >> (v - 1)) & 1]
+    rest = [n - v for v in range(1, n + 1) if not (mask >> (v - 1)) & 1]
+    m = np.transpose(psi.reshape((2,) * n), side + rest).reshape(1 << len(side), -1)
+    return float(np.linalg.svd(m, compute_uv=False)[0] ** 2)
+
+
 def loop_partial_trace(psi: np.ndarray, n: int, subsystem) -> np.ndarray:
     """Partial trace by explicit label arithmetic."""
     kept = sorted(subsystem)
@@ -90,15 +133,15 @@ def loop_partial_trace(psi: np.ndarray, n: int, subsystem) -> np.ndarray:
 
 def permute_qubits(s: StateVector, perm: dict[int, int]) -> StateVector:
     """Relabel qubits: old qubit i becomes perm[i] in the new state."""
-    psi = s.dense_array()
-    out = np.empty_like(psi)
-    for x in range(len(psi)):
-        y = 0
-        for i in range(1, s.n + 1):
-            if (x >> (i - 1)) & 1:
-                y |= 1 << (perm[i] - 1)
-        out[y] = psi[x]
-    return StateVector(s.n, amps=out)
+    signs = 0
+    for x in range(s.dim):
+        if (s.signs >> x) & 1:
+            y = 0
+            for i in range(1, s.n + 1):
+                if (x >> (i - 1)) & 1:
+                    y |= 1 << (perm[i] - 1)
+            signs |= 1 << y
+    return StateVector(s.n, signs)
 
 
 def _random_bits(width: int, rng: np.random.Generator) -> int:
@@ -330,20 +373,20 @@ def loop_uniqueness_verdicts(h, probes: int = 20, seed: int = 42, ops=None) -> l
     every (I + K)/2 with an explicit label permutation, then require a
     vanishing or target-parallel result."""
     rng = np.random.default_rng(seed)
-    target = statesim.build_state(h).dense_array()
+    target = amplitudes(statesim.build_state(h))
     if ops is None:
         ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
     idx = np.arange(1 << h.n)
     diagonals = [operator_diagonal(op) for op in ops]
     verdicts = []
     for _ in range(probes):
-        v = statesim.random_state(h.n, rng).dense_array()
+        v = statesim.random_state(h.n, rng)
         for op, d in zip(ops, diagonals):
             v = (v + (v * d)[idx ^ (1 << (op.i - 1))]) / 2.0
         norm = np.linalg.norm(v)
-        if norm <= statesim.ATOL_NORM:
+        if norm <= ATOL_NORM:
             verdicts.append(True)
             continue
         overlap = np.vdot(target, v)
-        verdicts.append(bool(np.linalg.norm(v - overlap * target) <= statesim.ATOL_EQUAL * norm))
+        verdicts.append(bool(np.linalg.norm(v - overlap * target) <= ATOL_EQUAL * norm))
     return verdicts

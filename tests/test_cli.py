@@ -198,6 +198,7 @@ def test_missing_file_exits_2(capsys):
         ("extract", "x 3\n", "unrecognized first line 'x 3'"),
         # complex amplitudes are never written to a dump
         ("extract", "n 1 backend complex\n0 1.0 0.0\n1 0.0 0.0\n", "unknown backend 'complex'"),
+        ("extract", "n 3 backend sign\n", "expected 8 sign lines, got 0"),
     ],
 )
 def test_faulty_input_exits_2_naming_the_fault(command, text, message, tmp_path, capsys):

@@ -44,21 +44,22 @@ def test_reduced_density_matches_loop_oracle():
     rng = np.random.default_rng(37)
     for _ in range(10):
         n = int(rng.integers(2, 6))
-        s = statesim.random_state(n, rng)
+        s = statesim.rew_state(helpers.random_table(n, rng))
         subsystem = sorted(
             set(rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n)), replace=False))
         )
         rho = entanglement.reduced_density(s, subsystem)
-        oracle = helpers.loop_partial_trace(s.amps, n, subsystem)
+        oracle = helpers.loop_partial_trace(helpers.amplitudes(s), n, subsystem)
         assert np.allclose(rho, oracle, atol=1e-12)
 
 
 @pytest.mark.parametrize("q", [1, 16])
 def test_reduced_density_of_one_qubit_past_int16_labels(q):
     # at n = 16 the labels of vertex 16's side no longer fit int16
-    s = statesim.random_state(16, np.random.default_rng(41))
+    s = statesim.rew_state(helpers.random_table(16, np.random.default_rng(41)))
+    psi = helpers.amplitudes(s)
     bit = (np.arange(1 << 16) >> (q - 1)) & 1
-    halves = [s.amps[bit == 0], s.amps[bit == 1]]
+    halves = [psi[bit == 0], psi[bit == 1]]
     want = [[np.vdot(b, a) for b in halves] for a in halves]
     assert np.allclose(entanglement.reduced_density(s, {q}), want, rtol=0, atol=1e-12)
 
@@ -125,10 +126,9 @@ def test_sweep_equals_reduced_density_across_blocks(n):
     for mask, lam in report.cuts:
         rho = entanglement.reduced_density(s, _bits.vertices_from_mask(mask))
         assert lam == entanglement.lambda_max(rho)
-    dense = entanglement.genuine_multipartite_geometric(StateVector.from_amplitudes(s.dense_array()))
-    assert [mask for mask, _ in dense.cuts] == [mask for mask, _ in report.cuts]
-    assert np.allclose([lam for _, lam in dense.cuts], [lam for _, lam in report.cuts],
-                       rtol=0, atol=1e-12)
+    psi = helpers.amplitudes(s)
+    dense = [helpers.cut_lambda(psi, mask) for mask, _ in report.cuts]
+    assert np.allclose(dense, [lam for _, lam in report.cuts], rtol=0, atol=1e-12)
 
 
 def test_geometric_measure_single_minus_state():
