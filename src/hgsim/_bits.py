@@ -6,8 +6,8 @@ label, so vertex subsets double as label masks.  The transforms are pure
 integer arithmetic; conversion between a table and one byte per label
 (``unpack``/``pack``) goes through numpy's bit packing, which copies bits
 and is therefore exact as well.  For n <= 6 a table fits one uint64 word,
-and ``butterfly`` and ``xor_permute`` act element-wise on uint64 arrays of
-such words.
+and ``butterfly``, ``xor_permute`` and ``anf_translate`` act element-wise
+on uint64 arrays of such words.
 
 One kernel per job: edges -> table is ``table_from_edges`` (a C^kZ gate, a
 local Z and a Z word, ``parity_mask``, are tables of one or more edges);
@@ -71,6 +71,15 @@ def xor_permute(table: int, flip: int, n: int) -> int:
             low = axis_clear_mask(i, n)
             table = ((table & low) << step) | ((table >> step) & low)
     return table
+
+
+def anf_translate(anf: int, flip: int, n: int) -> int:
+    """ANF of the table relabeled under x -> x XOR flip: x_i -> x_i ^ 1 folds
+    the coefficient of each label with bit i set onto the label without it."""
+    for i in range(n):
+        if (flip >> i) & 1:
+            anf = anf ^ (anf >> (1 << i)) & axis_clear_mask(i, n)
+    return anf
 
 
 def parity_mask(z_mask: int, n: int) -> int:

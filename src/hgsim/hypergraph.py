@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from operator import add
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -117,15 +117,23 @@ class _HalfTable(dict):
     """Per-call table from one half of an edge mask (its key) to its text.
 
     Filled on first use, so it never holds more entries than there are
-    edges, even where 2**(n/2) is far larger.
+    edges, even where 2**(n/2) is far larger.  Key bit i is vertex first + i,
+    except the flag bits below every vertex bit: ``starts`` maps each key of
+    flag bits alone to the text before a first vertex.  A missing key's text
+    is that of the key without its top bit and sep (or that key's start),
+    then the top bit's vertex.
     """
 
-    def __init__(self, text: Callable[[int], str]) -> None:
-        super().__init__()
-        self.text = text
+    def __init__(self, starts: dict[int, str], sep: str, first: int) -> None:
+        super().__init__(starts)  # a key of flag bits alone is its start,
+        self[0] = ""  # except key 0, which has no text
+        self.starts, self.sep, self.first = starts, sep, first
 
     def __missing__(self, key: int) -> str:
-        value = self[key] = self.text(key)
+        top = key.bit_length() - 1
+        rest = key ^ 1 << top
+        start = self.starts[rest] if rest in self.starts else self[rest] + self.sep
+        value = self[key] = f"{start}{self.first + top}"
         return value
 
 
@@ -138,15 +146,8 @@ def _edge_texts(masks: np.ndarray, n: int, head: str, sep: str) -> Iterator[str]
     half's key says whether the low half is empty.
     """
     split = (n + 1) // 2
-
-    def vertices(half: int, first: int) -> str:
-        return sep.join(map(str, _bits.mask_bits(half, first)))
-
-    def high_text(key: int) -> str:
-        return (head if key & 1 else sep if key > 1 else "") + vertices(key >> 1, split + 1)
-
-    low = _HalfTable(lambda half: head + vertices(half, 1) if half else "")
-    high = _HalfTable(high_text)
+    low = _HalfTable({0: head}, sep, 1)
+    high = _HalfTable({0: sep, 1: head}, sep, split)
     lows = masks & np.uint64((1 << split) - 1)
     highs = (masks >> np.uint64(split)) << np.uint64(1) | (lows == 0)
     return map(add, map(low.__getitem__, lows.tolist()), map(high.__getitem__, highs.tolist()))

@@ -13,9 +13,12 @@ part and the constant are free.  An orbit holds 2**n keys per distinct
 such ANF among the 2**n translates.  The inequivalence report -- states of
 different uniform edge order are never connected by local Paulis (the
 empty graph aside, which is why only nonempty edge sets are compared) --
-needs only those translate ANFs, never the 4**n words.  Tables of n <= 6
-qubits fit one uint64 word, and the ``_bits`` kernels act element-wise on
-uint64 arrays, so every state and every translate is one array element.
+needs only those translate ANFs, never the 4**n words.  The ANF of a
+single edge is a one-bit table, so ``_bits.anf_translate`` (one shift-XOR
+per flipped bit, no butterfly) gives every edge's translate ANFs, for all
+orders in one pass.  Tables of n <= 6 qubits fit one uint64 word, and the
+``_bits`` kernels act element-wise on uint64 arrays, so every state and
+every translate is one array element.
 The 4**n-word loop stays in the tests as the oracle.
 """
 
@@ -59,25 +62,18 @@ def _span(gens: np.ndarray) -> np.ndarray:
     return out
 
 
-def _translates(tables: np.ndarray, n: int) -> np.ndarray:
-    """uint64 tables relabeled by x -> x ^ a, stacked along a new first axis a."""
+def _translates(tables: np.ndarray, n: int, move) -> np.ndarray:
+    """uint64 tables relabeled by x -> x ^ a (move = _bits.xor_permute), or
+    their ANFs (move = _bits.anf_translate), stacked along a new first axis a."""
     out = tables[None]
     for i in range(n):
-        out = np.concatenate((out, _bits.xor_permute(out, 1 << i, n)))
+        out = np.concatenate((out, move(out, 1 << i, n)))
     return out
 
 
-def _edge_tables(n: int, k: int) -> np.ndarray:
-    """uint64 sign tables of the single k-vertex edges, in label order: the
-    butterfly of each edge's one-bit indicator table."""
-    return _bits.butterfly(np.uint64(1) << _bits.set_bits(_bits.weight_mask(n, k)), n)
-
-
-def _uniform_state_tables(n: int, k: int) -> np.ndarray:
-    """Sign tables (uint64, n <= 6) of the states the report counts at order k:
-    every nonempty k-uniform edge set.  Tables of distinct edges add by XOR,
-    so entry j - 1 is the span's column j (bit i of j picks the i-th edge)."""
-    return _span(_edge_tables(n, k))[1:]
+def _edge_masks(n: int, k: int) -> np.ndarray:
+    """The k-vertex edges, as ascending uint64 label masks."""
+    return _bits.set_bits(_bits.weight_mask(n, k))
 
 
 def local_pauli_orbit(s: StateVector) -> set[OrbitKey]:
@@ -92,7 +88,7 @@ def local_pauli_orbit(s: StateVector) -> set[OrbitKey]:
     n = s.n
     base = np.array([OrbitKey.from_state(s).table], dtype=np.uint64)
     axes = np.array([_bits.parity_mask(1 << i, n) for i in range(n)], dtype=np.uint64)
-    words = _translates(base, n) ^ _span(axes)
+    words = _translates(base, n, _bits.xor_permute) ^ _span(axes)
     return {OrbitKey(n, t) for t in np.unique(_canonical(words, n)).tolist()}
 
 
@@ -136,22 +132,25 @@ def class_inequivalence_report(n: int) -> InequivalenceReport:
     report = InequivalenceReport(n)
     high = _bits.full_mask(n) & ~_bits.weight_mask(n, 0) & ~_bits.weight_mask(n, 1)
     outside = {kp: np.uint64(high & ~_bits.weight_mask(n, kp)) for kp in range(2, n + 1)}
+    # The ANF of the single edge e is the one-bit table 1 << e, so one
+    # anf_translate pass over every label gives the translate ANFs of every
+    # edge of every order: column e, one row per translate.
+    labels = np.arange(1 << n, dtype=np.uint64)
+    translated = _translates(np.uint64(1) << labels, n, _bits.anf_translate) & np.uint64(high)
     for k in range(1, n + 1):
+        anfs = translated[:, _edge_masks(n, k)]
         others = [kp for kp in range(1, n + 1) if kp != k]
         hits = dict.fromkeys(others, 0)
         fixing = []
-        # Translation and the butterfly are XOR-linear, so the translate
-        # ANFs of a state (a column, one row per translate) are the XOR of
-        # its edges' columns.  A chunk of states is the span of the first
-        # _CHUNK_EDGES edges XOR one element of the span of the rest.
-        anfs = _bits.butterfly(_translates(_edge_tables(n, k), n), n) & np.uint64(high)
+        # Translation is XOR-linear, so the translate ANFs of a state are
+        # the XOR of its edges' columns.  A chunk of states is the span of
+        # the first _CHUNK_EDGES edges XOR one element of the span of the rest.
         block = _span(anfs[:, :_CHUNK_EDGES])
         offsets = _span(anfs[:, _CHUNK_EDGES:])
         for c in range(offsets.shape[1]):
-            chunk = block ^ offsets[:, c : c + 1]
-            if c == 0:
-                chunk = chunk[:, 1:]  # the empty edge set
-            fixing.append(np.count_nonzero(chunk == chunk[0], axis=0))
+            # offset 0 is the empty set, and block column 0 the empty edge set
+            chunk = block ^ offsets[:, c : c + 1] if c else block[:, 1:]
+            fixing.append((chunk == chunk[0]).sum(axis=0))
             nonzero = chunk != 0
             for kp in others:
                 if kp == 1:

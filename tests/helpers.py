@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from hgsim import _bits, statesim
+from hgsim import _bits, orbits, statesim
 from hgsim.boolfn import TruthTable
 from hgsim.hypergraph import Hypergraph
 from hgsim.orbits import OrbitKey
@@ -279,6 +279,14 @@ def loop_bipartition_masks(n: int) -> list[int]:
             masks.append(mask)
     masks.sort(key=lambda m: (m.bit_count(), m))
     return masks
+
+
+def uniform_state_tables(n: int, k: int) -> np.ndarray:
+    """Sign tables (uint64, n <= 6) of the states the orbit report counts at
+    order k: every nonempty k-uniform edge set.  Tables of distinct edges add
+    by XOR, so entry j - 1 is the span's column j (bit i of j picks the i-th
+    edge): the butterfly of the span of the edges' one-bit tables."""
+    return _bits.butterfly(orbits._span(np.uint64(1) << orbits._edge_masks(n, k)), n)[1:]
 
 
 def loop_uniform_state_tables(n: int, k: int) -> list[int]:

@@ -293,6 +293,12 @@ def test_entangle_output_is_golden(tmp_path, capsys):
     assert run_cli(["entangle", str(path)], capsys) == (0, golden, "")
 
 
+@pytest.mark.parametrize("n", orbits.REPORT_QUBITS)
+def test_orbit_output_is_golden(n, capsys):
+    golden = (GOLDEN / f"orbit_n{n}.txt").read_text()
+    assert run_cli(["orbit", "--n", str(n)], capsys) == (0, golden, "")
+
+
 def test_verify_names_the_label_of_a_failing_commutator(grover_graph, monkeypatch, capsys):
     # swap in an operator of another graph: X2 Z1 does not commute with X1 C2Z(2,3)
     real = statesim.stabilizer

@@ -307,9 +307,31 @@ def test_bipartition_masks_match_filter_and_sort(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_uniform_state_tables_match_combinations(n):
     for k in range(1, n + 1):
-        got = orbits._uniform_state_tables(n, k).tolist()
+        got = helpers.uniform_state_tables(n, k).tolist()
         want = helpers.loop_uniform_state_tables(n, k)
         assert len(got) == len(set(got)) == len(want) and set(got) == set(want)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_anf_translate_is_the_translate_between_butterflies(n):
+    # the ANF of f(x ^ a) is the butterfly of the relabeled butterfly of f's ANF
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(200):
+        anf = int.from_bytes(rng.bytes(1 + (1 << n) // 8), "little") & _bits.full_mask(n)
+        flip = int(rng.integers(0, 1 << n))
+        want = _bits.butterfly(_bits.xor_permute(_bits.butterfly(anf, n), flip, n), n)
+        assert _bits.anf_translate(anf, flip, n) == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_anf_translate_on_uint64_words_for_every_flip(n):
+    rng = np.random.default_rng(n)
+    words = rng.integers(0, 2**64 - 1, size=50, dtype=np.uint64, endpoint=True)
+    anfs = words & np.uint64(_bits.full_mask(n))
+    for flip in range(1 << n):
+        want = _bits.butterfly(_bits.xor_permute(_bits.butterfly(anfs, n), flip, n), n)
+        got = _bits.anf_translate(anfs, flip, n)
+        assert got.dtype == np.uint64 and got.tolist() == want.tolist()
 
 
 @st.composite
@@ -328,7 +350,8 @@ def test_kernels_on_uint64_words_match_the_int_kernels(case):
     # it would clobber the caller's tables)
     n, words, flip = case
     arr = np.array(words, dtype=np.uint64)
-    for kernel, args in ((_bits.butterfly, (n,)), (_bits.xor_permute, (flip, n))):
+    kernels = ((_bits.butterfly, (n,)), (_bits.xor_permute, (flip, n)), (_bits.anf_translate, (flip, n)))
+    for kernel, args in kernels:
         got = kernel(arr, *args)
         assert got.dtype == np.uint64
         assert got.tolist() == [kernel(w, *args) for w in words]

@@ -64,7 +64,7 @@ def test_orbit_matches_dense_oracle_on_random_states():
 def test_single_minus_orbit_avoids_plain_graph_states():
     s = statesim.build_state(Hypergraph.from_sets(3, [{1, 2, 3}]))
     orbit = orbits.local_pauli_orbit(s)
-    two_uniform = set(orbits._uniform_state_tables(3, 2).tolist())
+    two_uniform = set(helpers.uniform_state_tables(3, 2).tolist())
     assert all(key.table not in two_uniform for key in orbit)
 
 
@@ -110,6 +110,26 @@ def test_inequivalence_report_matches_the_word_loop(n):
     assert orbits.class_inequivalence_report(n) == loop_report(n, states)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_top_degree_anf_is_invariant_under_every_translate(n):
+    # Corollary behind the report, for every n: a translate keeps the ANF's
+    # degree-d part (d its top degree) and adds only lower degrees.  A Pauli
+    # word changes ANF>=2 by a translate alone, so two distinct nonempty
+    # k-uniform states (k >= 2) are never local-Pauli equivalent.
+    rng = np.random.default_rng(1404 + n)
+    for _ in range(20):
+        d = int(rng.integers(1, n + 1))
+        top = _bits.set_bits(_bits.weight_mask(n, d))
+        edges = rng.choice(top, size=int(rng.integers(1, top.size + 1)), replace=False).tolist()
+        lower = rng.integers(1, 1 << n, size=8).tolist()
+        anf = sum(1 << e for e in {*edges, *(e for e in lower if e.bit_count() < d)})
+        flips = range(1 << n) if n <= 6 else rng.integers(0, 1 << n, size=64).tolist()
+        for flip in flips:
+            moved = _bits.anf_translate(anf, flip, n)
+            assert max(e.bit_count() for e in _bits.set_bits(moved).tolist()) == d
+            assert moved & _bits.weight_mask(n, d) == anf & _bits.weight_mask(n, d)
+
+
 def test_inequivalence_verdicts_match_the_word_loop_on_planted_edges(monkeypatch):
     # mixed-order generators in place of each order's edges, so that states
     # do meet other orders and the verdicts are not all 0; two edges per
@@ -122,9 +142,7 @@ def test_inequivalence_verdicts_match_the_word_loop_on_planted_edges(monkeypatch
             k: rng.choice(np.arange(1, 1 << n), size=int(rng.integers(1, 7)), replace=False)
             for k in range(1, n + 1)
         }
-        monkeypatch.setattr(orbits, "_edge_tables", lambda n, k: np.array(
-            [helpers.loop_table_from_edges([int(e)], n) for e in planted[k]], dtype=np.uint64
-        ))
+        monkeypatch.setattr(orbits, "_edge_masks", lambda n, k: planted[k])
         states = {
             k: [
                 helpers.loop_table_from_edges([int(e) for j, e in enumerate(es) if p >> j & 1], n)
@@ -149,7 +167,7 @@ def test_inequivalence_report_n6_counts_and_orbit_sizes():
     # a seeded sample of states has word-loop orbits inside the reported range
     rng = np.random.default_rng(6)
     for k in range(1, 7):
-        tables = orbits._uniform_state_tables(6, k)
+        tables = helpers.uniform_state_tables(6, k)
         lo, hi = report.orbit_sizes[k]
         for t in rng.choice(tables, size=min(4, len(tables)), replace=False).tolist():
             assert lo <= len(helpers.loop_table_orbit(t, 6)) <= hi
