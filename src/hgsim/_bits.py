@@ -64,12 +64,14 @@ def butterfly(table: int, n: int) -> int:
 
 
 def xor_permute(table: int, flip: int, n: int) -> int:
-    """Relabel a table under x -> x XOR flip."""
-    for i in range(n):
-        if (flip >> i) & 1:
-            step = 1 << i
-            low = axis_clear_mask(i, n)
-            table = ((table & low) << step) | ((table >> step) & low)
+    """Relabel a table under x -> x XOR flip (bits of flip at or above n are
+    ignored), one swap of table halves per set bit of flip."""
+    flip &= (1 << n) - 1
+    while flip:
+        step = flip & -flip
+        low = axis_clear_mask(step.bit_length() - 1, n)
+        table = ((table & low) << step) | ((table >> step) & low)
+        flip ^= step
     return table
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import re
 import string
@@ -109,8 +110,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
         h = extract.extract_fast(tt)
     else:
         h = extract.extract_layered(tt)
-        if h != extract.extract_fast(tt):
-            print("extraction mismatch between layered and fast routes", file=sys.stderr)
+        fast = extract.extract_fast(tt)
+        if h != fast:
+            first = hypergraph.Hypergraph(h.n, h.edges ^ fast.edges).sorted_edges()[0]
+            route = "layered" if first in h.edges else "fast"
+            vertices = " ".join(map(str, _bits.mask_bits(first, 1)))
+            print(
+                "extraction mismatch between layered and fast routes\n"
+                f"edge {vertices} is in the {route} route only",
+                file=sys.stderr,
+            )
             return EXIT_FAIL
     sys.stdout.write(hypergraph.serialize(h))
     return EXIT_OK
@@ -120,30 +129,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
     h = _load_graph(_read(args.graph))
     state = statesim.build_state(h)
     ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
-    for op, text in zip(ops, statesim.operator_texts(ops)):
-        print(f"stabilizer {op.i} {text}")
+    out = [f"stabilizer {op.i} {text}" for op, text in zip(ops, statesim.operator_texts(ops))]
     all_fixed = True
     for op in ops:
-        fixed = statesim.apply_stabilizer(state, op).signs == state.signs
-        all_fixed &= fixed
-        print(f"stabilized {op.i} {'pass' if fixed else 'fail'}")
-    ok = all_fixed
-    for a in range(len(ops)):
-        for b in range(a + 1, len(ops)):
-            witness = statesim.commutation_witness(ops[a], ops[b])
-            if witness is not None:
-                ok = False
-                print(
-                    f"commutator {a + 1} {b + 1}: K{a + 1}K{b + 1} and K{b + 1}K{a + 1} "
-                    f"differ at label {witness}",
-                    file=sys.stderr,
-                )
-            # Both products are one label permutation times +-1 diagonals, so
-            # ||KaKb - KbKa|| is 2 if they differ anywhere, else 0.
-            print(f"commutator {a + 1} {b + 1} residual {0 if witness is None else 2}")
-    # uniqueness_check's verdict from the fixes already printed
-    unique = all_fixed and statesim.joint_dimension(ops, h.n) == 1
-    print(f"uniqueness {'pass' if unique else 'fail'}")
+        moved = statesim.apply_stabilizer(state, op).signs ^ state.signs
+        all_fixed &= not moved
+        out.append(f"stabilized {op.i} {'fail' if moved else 'pass'}")
+        if moved:
+            print(
+                f"stabilized {op.i}: K{op.i}|H> and |H> differ at label "
+                f"{(moved & -moved).bit_length() - 1}",
+                file=sys.stderr,
+            )
+    witnesses = statesim.commutation_witnesses(ops)
+    for (a, b), witness in zip(itertools.combinations(range(1, h.n + 1), 2), witnesses):
+        if witness is not None:
+            print(
+                f"commutator {a} {b}: K{a}K{b} and K{b}K{a} differ at label {witness}",
+                file=sys.stderr,
+            )
+        # Both products are one label permutation times +-1 diagonals, so
+        # ||KaKb - KbKa|| is 2 if they differ anywhere, else 0.
+        out.append(f"commutator {a} {b} residual {0 if witness is None else 2}")
+    # uniqueness_check's verdict from the fixes already made
+    dimension = statesim.joint_dimension(ops, h.n)
+    unique = all_fixed and dimension == 1
+    if not unique:
+        print(f"uniqueness: the joint +1 eigenspace has dimension {dimension}", file=sys.stderr)
+    out.append(f"uniqueness {'pass' if unique else 'fail'}")
+    sys.stdout.write("\n".join(out) + "\n")
+    ok = all_fixed and all(w is None for w in witnesses)
     return EXIT_OK if ok and unique else EXIT_FAIL
 
 

@@ -20,8 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from operator import add
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -113,61 +112,94 @@ class UniformityClass:
         return "mixed " + ",".join(str(k) for k in sorted(self.orders))
 
 
-class _HalfTable(dict):
-    """Per-call table from one half of an edge mask (its key) to its text.
-
-    Filled on first use, so it never holds more entries than there are
-    edges, even where 2**(n/2) is far larger.  Key bit i is vertex first + i,
-    except the flag bits below every vertex bit: ``starts`` maps each key of
-    flag bits alone to the text before a first vertex.  A missing key's text
-    is that of the key without its top bit and sep (or that key's start),
-    then the top bit's vertex.
-    """
-
-    def __init__(self, starts: dict[int, str], sep: str, first: int) -> None:
-        super().__init__(starts)  # a key of flag bits alone is its start,
-        self[0] = ""  # except key 0, which has no text
-        self.starts, self.sep, self.first = starts, sep, first
-
-    def __missing__(self, key: int) -> str:
-        top = key.bit_length() - 1
-        rest = key ^ 1 << top
-        start = self.starts[rest] if rest in self.starts else self[rest] + self.sep
-        value = self[key] = f"{start}{self.first + top}"
-        return value
+def _vertex_texts(values: np.ndarray, width: int, first: int, sep: str) -> np.ndarray:
+    """sep.join(first + i for each set bit i, ascending) of each value of a
+    uint64 array of values below 2**width, as an object array: gathered from
+    a table of every value when there are at least that many values (each
+    entry built from the one without its top bit), else value by value."""
+    if 1 << width > values.size:
+        texts = [sep.join(map(str, _bits.mask_bits(v, first))) for v in values.tolist()]
+        return np.array(texts, dtype=object)
+    texts = [""]
+    for i in range(width):
+        vertex = str(first + i)
+        texts += [f"{text}{sep}{vertex}" if text else vertex for text in texts]
+    return np.array(texts, dtype=object)[values]
 
 
-def _edge_texts(masks: np.ndarray, n: int, head: str, sep: str) -> Iterator[str]:
-    """head + sep.join(ascending vertices) of each mask of a uint64 array.
+def _keyed_texts(
+    keys: np.ndarray, size: int, texts: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """texts(keys) for a uint64 array of keys below ``size``, where
+    ``texts`` maps a uint64 key array to an object array.  It is called on
+    every key below ``size`` when there are at least that many keys, else
+    on the distinct keys present, so that a sparse n = 64 graph never
+    allocates 2**32 entries."""
+    if size <= keys.size:
+        return texts(np.arange(size, dtype=np.uint64))[keys]
+    distinct, index = np.unique(keys, return_inverse=True)
+    return texts(distinct)[index]
 
-    Each text is the sum of two table entries, keyed by the low and high
-    ceil(n/2)-bit halves of the mask.  The head goes with the first half
-    that has a vertex (the high half for mask 0), so bit 0 of the high
-    half's key says whether the low half is empty.
+
+def _edge_texts(masks: np.ndarray, n: int, prefixes: list[str], sep: str, tail: str) -> list[str]:
+    """Two pieces per mask of a uint64 array, whose join is prefixes[k] +
+    sep.join(ascending vertices) + tail, k the mask's size.
+
+    The first piece, with the prefix, is keyed by the low ceil(n/2) bits of
+    the mask and, above them, the count of its high bits.  The second, with
+    the tail, is keyed by the high bits and, below them, a flag for empty
+    low bits (then no sep goes before the first high vertex).  Each column
+    of pieces is one gather from a table built once per call.
     """
     split = (n + 1) // 2
-    low = _HalfTable({0: head}, sep, 1)
-    high = _HalfTable({0: sep, 1: head}, sep, split)
-    lows = masks & np.uint64((1 << split) - 1)
-    highs = (masks >> np.uint64(split)) << np.uint64(1) | (lows == 0)
-    return map(add, map(low.__getitem__, lows.tolist()), map(high.__getitem__, highs.tolist()))
+    low_bits = np.uint64((1 << split) - 1)
+    lows = masks & low_bits
+    highs = masks >> np.uint64(split)
+    prefix = np.array(prefixes, dtype=object)
+
+    def low_texts(keys: np.ndarray) -> np.ndarray:
+        low = keys & low_bits
+        sizes = np.bitwise_count(low) + (keys >> np.uint64(split))
+        return prefix[sizes] + _vertex_texts(low, split, 1, sep)
+
+    def high_texts(keys: np.ndarray) -> np.ndarray:
+        high = keys >> np.uint64(1)
+        lead = np.where((keys & np.uint64(1)) | (high == 0), "", sep).astype(object)
+        return lead + _vertex_texts(high, n - split, split + 1, sep) + tail
+
+    low_keys = np.bitwise_count(highs).astype(np.uint64) << np.uint64(split) | lows
+    high_keys = highs << np.uint64(1) | (lows == 0)
+    columns = (
+        _keyed_texts(low_keys, (n - split + 1) << split, low_texts),
+        _keyed_texts(high_keys, 2 << (n - split), high_texts),
+    )
+    return np.stack(columns, axis=1).ravel().tolist()
 
 
 # Bit i of byte b set iff bit 7 - i of _REVERSED_BYTE[b] is.
 _REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
-def sorted_masks(masks: np.ndarray) -> np.ndarray:
+def sorted_masks(masks: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
     """A uint64 array of label masks by size, then lexicographic vertex tuple.
 
     Among masks of one size, ascending vertex tuples are descending
-    bit-reversed masks (vertex v -> bit 64 - v).  So the masks are sorted by
-    the complement of the reversed mask, then by popcount with a stable
-    sort, which numpy does as a radix sort on the uint8 counts.
+    bit-reversed masks (vertex v -> bit 64 - v), so the sort key is the
+    size, then the complement of the reversed mask.  Given ``offsets``, an
+    unsigned array of one multiple of 65 per mask, the size is offset +
+    popcount, so the masks go by offset first.  Where the sizes fit the low
+    bits that every reversed mask leaves 0, one sort of the packed keys
+    does; else the masks are sorted by the complement of the reversed mask,
+    then by size with a stable sort, a radix sort on the small sizes.
     """
-    reversed_ = _REVERSED_BYTE[masks.view(np.uint8)].view(np.uint64).byteswap()
-    order = np.argsort(~reversed_)  # equal keys are equal masks, so any sort will do
-    return masks[order[np.argsort(np.bitwise_count(masks)[order], kind="stable")]]
+    reversed_ = np.take(_REVERSED_BYTE, masks.view(np.uint8)).view(np.uint64).byteswap()
+    size = np.bitwise_count(masks) if offsets is None else offsets + np.bitwise_count(masks)
+    need = max(int(size.max(initial=0)).bit_length(), 1)
+    if need + int(np.bitwise_or.reduce(masks, initial=0)).bit_length() <= 64:
+        packed = size.astype(np.uint64) << np.uint64(64 - need) | ~reversed_ >> np.uint64(need)
+        return masks[np.argsort(packed)]  # equal keys are equal masks, so any sort will do
+    order = np.argsort(~reversed_)
+    return masks[order[np.argsort(size[order], kind="stable")]]
 
 
 def parse(text: str) -> Hypergraph:
@@ -296,10 +328,8 @@ def _parse_lines(text: str) -> Hypergraph:
 
 
 def serialize(h: Hypergraph) -> str:
-    edges = sorted_masks(h.masks)
-    lines = [f"n {h.n}"]
-    lines.extend(_edge_texts(edges, h.n, "e ", " "))
-    return "\n".join(lines) + "\n"
+    pieces = _edge_texts(sorted_masks(h.masks), h.n, ["e "] * (h.n + 1), " ", "\n")
+    return f"n {h.n}\n" + "".join(pieces)
 
 
 def toggle_edge(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:

@@ -18,10 +18,11 @@ one diagonal table plus one label permutation, O(2**n) regardless of how
 many tuples it carries.
 
 Commutation and uniqueness are decided exactly on sign tables
-(``commutation_witness`` names the first label where the two products
-differ; ``joint_dimension`` counts the joint +1 eigenspace), so ``verify``
-draws no random probe.  The complex vectors of ``random_state`` and
-``commutator_residual`` are probes that no command runs.
+(``commutation_witnesses`` names the first label where the two products
+of each pair differ; ``joint_dimension`` counts the joint +1 eigenspace),
+so ``verify`` draws no random probe.  The complex vectors of
+``random_state`` and ``commutator_residual`` are probes that no command
+runs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
 from typing import Iterable
 
 import numpy as np
@@ -174,27 +174,23 @@ class StabilizerOperator:
 
 
 def operator_texts(ops: list[StabilizerOperator]) -> list[str]:
-    """The text of each operator: `X<i>`, then `C<k>Z(<vertices>)` per tuple by
-    size, then vertex tuple.  The operators share one n; all their tuples go
-    through one _edge_texts call, and each run of one size through one join."""
+    """The text of each operator: `X<i>`, then ` C<k>Z(<vertices>)` per tuple
+    by size, then vertex tuple.  The operators share one n; their tuples are
+    sorted together, operator by operator, and written by one _edge_texts call."""
     if not ops:
         return []
     n = ops[0].n
     if any(op.n != n for op in ops):
         raise ValueError("operators of different qubit counts")
-    arrays = [sorted_masks(op.masks) for op in ops]
-    texts = list(_edge_texts(np.concatenate(arrays), n, "", ","))  # "v1,v2,..." per tuple
-    out, start = [], 0
-    for op, masks in zip(ops, arrays):
-        # the tuples of size k are texts[bounds[k]:bounds[k + 1]]
-        bounds = (start + np.searchsorted(np.bitwise_count(masks), np.arange(n + 2))).tolist()
-        runs = [
-            f"C{k}Z(" + f") C{k}Z(".join(texts[a:b]) + ")"
-            for k, (a, b) in enumerate(pairwise(bounds)) if a < b
-        ]
-        out.append(" ".join([f"X{op.i}", *runs]))
-        start = bounds[-1]
-    return out
+    sizes = [op.masks.size for op in ops]
+    offsets = np.arange(0, 65 * len(ops), 65, dtype=np.min_scalar_type(65 * len(ops)))
+    masks = sorted_masks(np.concatenate([op.masks for op in ops]), np.repeat(offsets, sizes))
+    pieces = _edge_texts(masks, n, [f" C{k}Z(" for k in range(n + 1)], ",", ")")
+    ends = np.cumsum(sizes).tolist()
+    return [
+        f"X{op.i}" + "".join(pieces[2 * start:2 * end])
+        for op, start, end in zip(ops, [0, *ends], ends)
+    ]
 
 
 def stabilizer(h: Hypergraph, i: int) -> StabilizerOperator:
@@ -227,23 +223,32 @@ def verify_stabilized(h: Hypergraph) -> bool:
 
 
 def commutation_witness(op_a: StabilizerOperator, op_b: StabilizerOperator) -> int | None:
-    """The lowest label at which K_a K_b and K_b K_a differ, or None if they commute.
+    """The lowest label at which K_a K_b and K_b K_a differ, or None if they commute."""
+    return commutation_witnesses([op_a, op_b])[0]
+
+
+def commutation_witnesses(ops: list[StabilizerOperator]) -> list[int | None]:
+    """commutation_witness of each pair a < b of operators of one n, in the
+    order (1, 2), (1, 3), ..., (2, 3), ...
 
     Exact, on sign tables.  K with flip bit f and diagonal D maps a sign
-    table S to P(S ^ D, f), P = xor_permute, so both products permute labels
-    by x -> x ^ a ^ b and their output signs differ exactly on
-    P(D_a, a) ^ P(D_b, b) ^ P(D_a ^ D_b, a ^ b).
+    table S to P(S ^ D, f), P = xor_permute, so both products of a pair
+    permute labels by x -> x ^ a ^ b, and their output signs differ exactly
+    on P(D_a, a) ^ P(D_b, b) ^ P(D_a ^ D_b, a ^ b).  With E_a = P(D_a, a)
+    that is (E_a ^ P(E_a, b)) ^ (E_b ^ P(E_b, a)): one translated diagonal
+    per operator, and one more translate per ordered pair.
     """
-    if op_a.n != op_b.n:
-        raise ValueError(f"dimension mismatch: operator n={op_a.n} vs n={op_b.n}")
-    n, da, db = op_a.n, op_a.diagonal_table, op_b.diagonal_table
-    a, b = op_a.flip, op_b.flip
-    diff = (
-        _bits.xor_permute(da, a, n)
-        ^ _bits.xor_permute(db, b, n)
-        ^ _bits.xor_permute(da ^ db, a ^ b, n)
-    )
-    return (diff & -diff).bit_length() - 1 if diff else None
+    qubits = {op.n for op in ops}
+    if len(qubits) > 1:
+        raise ValueError(f"dimension mismatch: operators of n={sorted(qubits)}")
+    moved = [_bits.xor_permute(op.diagonal_table, op.flip, op.n) for op in ops]
+    change = [[e ^ _bits.xor_permute(e, op.flip, op.n) for op in ops] for e in moved]
+    witnesses = []
+    for a in range(len(ops)):
+        for b in range(a + 1, len(ops)):
+            diff = change[a][b] ^ change[b][a]
+            witnesses.append((diff & -diff).bit_length() - 1 if diff else None)
+    return witnesses
 
 
 def commutator_residual(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import add
+from typing import Iterator
 
 import numpy as np
 
@@ -350,6 +352,41 @@ def set_operator_text(i: int, masks) -> str:
     return " ".join([f"X{i}", *gates])
 
 
+class HalfTable(dict):
+    """Table from one half of an edge mask (its key) to its text, filled on
+    first use.  Key bit i is vertex first + i, except the flag bits below
+    every vertex bit: ``starts`` maps each key of flag bits alone to the
+    text before a first vertex.  A missing key's text is that of the key
+    without its top bit and sep (or that key's start), then the top bit's
+    vertex."""
+
+    def __init__(self, starts: dict[int, str], sep: str, first: int) -> None:
+        super().__init__(starts)  # a key of flag bits alone is its start,
+        self[0] = ""  # except key 0, which has no text
+        self.starts, self.sep, self.first = starts, sep, first
+
+    def __missing__(self, key: int) -> str:
+        top = key.bit_length() - 1
+        rest = key ^ 1 << top
+        start = self.starts[rest] if rest in self.starts else self[rest] + self.sep
+        value = self[key] = f"{start}{self.first + top}"
+        return value
+
+
+def loop_edge_texts(masks: np.ndarray, n: int, head: str, sep: str) -> Iterator[str]:
+    """head + sep.join(ascending vertices) of each mask of a uint64 array, as
+    the sum of two lazily filled HalfTable entries per mask, keyed by the
+    low and high ceil(n/2)-bit halves.  The head goes with the first half
+    that has a vertex (the high half for mask 0), so bit 0 of the high
+    half's key says whether the low half is empty."""
+    split = (n + 1) // 2
+    low = HalfTable({0: head}, sep, 1)
+    high = HalfTable({0: sep, 1: head}, sep, split)
+    lows = masks & np.uint64((1 << split) - 1)
+    highs = (masks >> np.uint64(split)) << np.uint64(1) | (lows == 0)
+    return map(add, map(low.__getitem__, lows.tolist()), map(high.__getitem__, highs.tolist()))
+
+
 def loop_sorted_masks(masks, n: int) -> list[int]:
     """Masks below 2**n sorted by the key size * 2**n - bit-reversed mask
     (vertex v -> bit n - v), summed vertex by vertex."""
@@ -374,6 +411,19 @@ def stabilizer_matrix(op) -> np.ndarray:
     m = np.zeros((1 << op.n, 1 << op.n))
     m[labels ^ (1 << (op.i - 1)), labels] = operator_diagonal(op)
     return m
+
+
+def loop_commutation_witness(op_a, op_b) -> int | None:
+    """The lowest label where K_a K_b and K_b K_a differ, from the three
+    translates P(D_a, a) ^ P(D_b, b) ^ P(D_a ^ D_b, a ^ b), P = xor_permute."""
+    n, da, db = op_a.n, op_a.diagonal_table, op_b.diagonal_table
+    a, b = op_a.flip, op_b.flip
+    diff = (
+        _bits.xor_permute(da, a, n)
+        ^ _bits.xor_permute(db, b, n)
+        ^ _bits.xor_permute(da ^ db, a ^ b, n)
+    )
+    return (diff & -diff).bit_length() - 1 if diff else None
 
 
 def loop_uniqueness_verdicts(h, probes: int = 20, seed: int = 42, ops=None) -> list[bool]:

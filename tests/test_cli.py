@@ -208,9 +208,29 @@ def test_faulty_input_exits_2_naming_the_fault(command, text, message, tmp_path,
 
 
 def test_extract_fails_when_the_two_routes_disagree(mixed_table, monkeypatch, capsys):
+    # the layered route finds e 1, e 2 3 and e 1 2 3; e 1 comes first
     monkeypatch.setattr(extract, "extract_fast", lambda tt: hypergraph.Hypergraph(tt.n, ()))
     assert run_cli(["extract", mixed_table], capsys) == (
-        1, "", "extraction mismatch between layered and fast routes\n"
+        1,
+        "",
+        "extraction mismatch between layered and fast routes\n"
+        "edge 1 is in the layered route only\n",
+    )
+
+
+def test_extract_names_the_first_edge_only_the_fast_route_has(mixed_table, monkeypatch, capsys):
+    # e 1 2 sorts before e 1 2 3, which the fast route lacks
+    real = extract.extract_fast
+    monkeypatch.setattr(
+        extract, "extract_fast", lambda tt: hypergraph.toggle_edge(
+            hypergraph.toggle_edge(real(tt), [1, 2, 3]), [1, 2]
+        )
+    )
+    assert run_cli(["extract", mixed_table], capsys) == (
+        1,
+        "",
+        "extraction mismatch between layered and fast routes\n"
+        "edge 1 2 is in the fast route only\n",
     )
 
 
@@ -271,17 +291,34 @@ N13_GRAPH = (
 )
 
 
+# n = 10 with about 2**9 edges: every tuple size, mask 0 (C0Z()) included
+N10_DENSE_GRAPH = helpers.set_serialize(
+    10, helpers.random_hypergraph(10, np.random.default_rng(1010)).edges
+)
+
+
 @pytest.mark.parametrize(
     "graph, golden",
     [
         (cli.SEVEN_VERTEX, "verify_seven_vertex.txt"),
         (N13_GRAPH, "verify_n13.txt"),
+        (N10_DENSE_GRAPH, "verify_n10_dense.txt"),
     ],
 )
 def test_verify_output_is_golden(graph, golden, tmp_path, capsys):
     path = tmp_path / "g.gr"
     path.write_text(graph)
     assert run_cli(["verify", str(path)], capsys) == (0, (GOLDEN / golden).read_text(), "")
+
+
+def test_serialize_output_is_golden(tmp_path, capsys):
+    # n = 12 with about 2**11 edges; extract writes the same text from the state
+    h = helpers.random_hypergraph(12, np.random.default_rng(1212))
+    golden = (GOLDEN / "serialize_n12_dense.txt").read_text()
+    assert hypergraph.serialize(h) == golden
+    path = tmp_path / "s.dump"
+    path.write_text(statesim.dump(statesim.build_state(h)))
+    assert run_cli(["extract", str(path)], capsys) == (0, golden, "")
 
 
 def test_entangle_output_is_golden(tmp_path, capsys):
@@ -310,13 +347,50 @@ def test_verify_names_the_label_of_a_failing_commutator(grover_graph, monkeypatc
     first = real(h, 1)
     label = statesim.commutation_witness(first, wrong)
     assert label is not None
-    assert err.splitlines()[0] == f"commutator 1 2: K1K2 and K2K1 differ at label {label}"
-    assert len(err.splitlines()) == 2  # the pair 2 3 fails too
+    commutators = [line for line in err.splitlines() if line.startswith("commutator")]
+    assert commutators[0] == f"commutator 1 2: K1K2 and K2K1 differ at label {label}"
+    assert len(commutators) == 2  # the pair 2 3 fails too
     # the operator norm of K1K2 - K2K1, from the dense matrices
     k1, k2 = helpers.stabilizer_matrix(first), helpers.stabilizer_matrix(wrong)
     assert np.linalg.norm(k1 @ k2 - k2 @ k1, 2) == 2.0
     assert "commutator 1 2 residual 2" in out.splitlines()
     assert "commutator 1 3 residual 0" in out.splitlines()
+
+
+def test_verify_names_the_label_each_failing_stabilizer_moves(grover_graph, monkeypatch, capsys):
+    # another graph's operators commute and fix one state, but not this one
+    real = statesim.stabilizer
+    other = hypergraph.Hypergraph.from_sets(3, [{1, 2}])
+    monkeypatch.setattr(statesim, "stabilizer", lambda h, i: real(other, i))
+    code, out, err = run_cli(["verify", grover_graph], capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("stabilized")] == [
+        "stabilized 1 fail", "stabilized 2 fail", "stabilized 3 fail"
+    ]
+    assert err == (
+        "stabilized 1: K1|H> and |H> differ at label 2\n"
+        "stabilized 2: K2|H> and |H> differ at label 1\n"
+        "stabilized 3: K3|H> and |H> differ at label 3\n"
+        "uniqueness: the joint +1 eigenspace has dimension 1\n"
+    )
+    # the labels, from the dense matrices: the first amplitude K_i changes
+    psi = helpers.amplitudes(statesim.build_state(hypergraph.parse(GROVER3)))
+    moved = [helpers.stabilizer_matrix(real(other, i)) @ psi != psi for i in (1, 2, 3)]
+    assert [int(np.flatnonzero(m)[0]) for m in moved] == [2, 1, 3]
+
+
+def test_verify_names_the_joint_dimension_when_uniqueness_fails(grover_graph, monkeypatch, capsys):
+    # K1 three times fixes the state and commutes, but leaves a 4-dimensional space
+    real = statesim.stabilizer
+    monkeypatch.setattr(statesim, "stabilizer", lambda h, i: real(h, 1))
+    code, out, err = run_cli(["verify", grover_graph], capsys)
+    assert (code, err) == (1, "uniqueness: the joint +1 eigenspace has dimension 4\n")
+    assert out.endswith(
+        "stabilized 1 pass\ncommutator 1 2 residual 0\ncommutator 1 3 residual 0\n"
+        "commutator 2 3 residual 0\nuniqueness fail\n"
+    )
+    k1 = helpers.stabilizer_matrix(real(hypergraph.parse(GROVER3), 1))
+    assert np.trace((np.eye(8) + k1) / 2) == 4.0
 
 
 @pytest.mark.parametrize("swap", ["none", "other graph", "repeated"])

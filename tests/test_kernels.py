@@ -334,6 +334,22 @@ def test_anf_translate_on_uint64_words_for_every_flip(n):
         assert got.dtype == np.uint64 and got.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_xor_permute_ignores_flip_bits_at_or_above_n(n):
+    rng = np.random.default_rng(900 + n)
+    for _ in range(50):
+        table = int.from_bytes(rng.bytes(1 + (1 << n) // 8), "little") & _bits.full_mask(n)
+        flip = int(rng.integers(0, 1 << n))
+        high = int(rng.integers(1, 1 << 20)) << n
+        assert _bits.xor_permute(table, flip | high, n) == _bits.xor_permute(table, flip, n)
+        if n <= 6:  # one uint64 word per table
+            words = rng.integers(0, 2**64 - 1, size=8, dtype=np.uint64, endpoint=True)
+            words &= np.uint64(_bits.full_mask(n))
+            got = _bits.xor_permute(words, flip | high, n)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [_bits.xor_permute(w, flip, n) for w in words.tolist()]
+
+
 @st.composite
 def word_arrays(draw):
     """(n, tables, flip): 2**n-bit tables for n <= 6, one uint64 word each."""
@@ -460,6 +476,54 @@ def test_sorted_masks_match_the_old_half_table_key(h):
     got = hypergraph.sorted_masks(masks)
     assert got.dtype == np.uint64
     assert got.tolist() == helpers.loop_sorted_masks(h.edges, h.n)
+
+
+@PROPERTY
+@given(st.lists(hypergraphs(max_n=8), min_size=1, max_size=6))
+def test_sorted_masks_by_offset_sorts_each_group_alone(graphs):
+    arrays = [h.masks for h in graphs]
+    offsets = np.repeat(np.arange(0, 65 * len(arrays), 65, dtype=np.uint16), [a.size for a in arrays])
+    got = hypergraph.sorted_masks(np.concatenate(arrays), offsets)
+    assert got.tolist() == [m for a in arrays for m in hypergraph.sorted_masks(a).tolist()]
+
+
+def _writer_masks(n: int, kind: str, rng: np.random.Generator) -> np.ndarray:
+    """Masks below 2**n, mask 0 first: enough for tables over every half
+    key ("dense"), or few enough that the distinct halves are keyed
+    ("sparse", some of them with few bits set)."""
+    split = (n + 1) // 2
+    if kind == "dense":
+        count = max((n - split + 1) << split, 2 << (n - split)) + 5
+    else:
+        count = min(40, (1 << split) - 1)
+    masks = rng.integers(0, (1 << n) - 1, size=count, dtype=np.uint64, endpoint=True)
+    few = np.uint64(1) << rng.integers(0, n, size=count, dtype=np.uint64)
+    masks[::2] &= few[::2] | (few[::2] >> np.uint64(1))
+    masks[0] = 0
+    return masks
+
+
+WRITER_CASES = [(n, kind) for n in range(1, 21) for kind in ("dense", "sparse")]
+
+
+@pytest.mark.parametrize("n, kind", WRITER_CASES + [(33, "sparse"), (64, "sparse")])
+@pytest.mark.parametrize("form", ["edge lines", "gates"])
+def test_edge_texts_equal_the_half_table_loop(n, kind, form):
+    masks = _writer_masks(n, kind, np.random.default_rng([n, len(kind)]))
+    if form == "edge lines":
+        prefixes, sep, tail = ["e "] * (n + 1), " ", "\n"
+    else:
+        prefixes, sep, tail = [f" C{k}Z(" for k in range(n + 1)], ",", ")"
+    for array in (masks, masks[:0], masks[:1]):  # all, none, and mask 0 alone
+        pieces = hypergraph._edge_texts(array, n, prefixes, sep, tail)
+        assert len(pieces) == 2 * array.size
+        want = [
+            prefixes[m.bit_count()] + text + tail
+            for m, text in zip(array.tolist(), helpers.loop_edge_texts(array, n, "", sep))
+        ]
+        assert list(map("".join, zip(pieces[::2], pieces[1::2]))) == want
+    if form == "gates":
+        assert "".join(hypergraph._edge_texts(masks[:1], n, prefixes, sep, tail)) == " C0Z()"
 
 
 def _edge_text(n: int, masks) -> str:

@@ -341,6 +341,41 @@ def test_commutation_witness_is_the_first_label_where_products_differ(pair):
         assert witness == differ[0]
 
 
+@st.composite
+def two_graph_operators(draw):
+    """(n, ops) at n <= 8: a random list, maybe empty, of stabilizers of two
+    random graphs, so that some pairs do not commute."""
+    n = draw(st.integers(1, 8))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
+    graphs = [helpers.random_hypergraph(n, np.random.default_rng(seed)) for seed in seeds]
+    own = [statesim.stabilizer(h, i) for h in graphs for i in range(1, n + 1)]
+    size = draw(st.integers(0, n + 2))
+    return n, draw(st.lists(st.sampled_from(own), min_size=size, max_size=size))
+
+
+@PROPERTY
+@given(two_graph_operators())
+def test_commutation_witnesses_are_the_witnesses_of_each_pair(case):
+    n, ops = case
+    got = statesim.commutation_witnesses(ops)
+    pairs = [(a, b) for a in range(len(ops)) for b in range(a + 1, len(ops))]
+    assert got == [statesim.commutation_witness(ops[a], ops[b]) for a, b in pairs]
+    assert got == [helpers.loop_commutation_witness(ops[a], ops[b]) for a, b in pairs]
+
+
+def test_commutation_witnesses_of_no_operators_and_of_mixed_sizes():
+    assert statesim.commutation_witnesses([]) == []
+    assert statesim.commutation_witnesses([StabilizerOperator(2, 1)]) == []
+    with pytest.raises(ValueError):
+        statesim.commutation_witnesses([StabilizerOperator(2, 1), StabilizerOperator(3, 1)])
+
+
+def test_commutation_witnesses_name_a_non_commuting_pair():
+    # X1 anticommutes with X2 Z1, so the two products differ at every label
+    ops = [StabilizerOperator(2, 1), StabilizerOperator.from_sets(2, 2, [{1}])]
+    assert statesim.commutation_witnesses(ops) == [0]
+
+
 def test_commutation_witness_rejects_mixed_sizes():
     with pytest.raises(ValueError):
         statesim.commutation_witness(
