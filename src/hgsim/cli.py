@@ -151,10 +151,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # Both products are one label permutation times +-1 diagonals, so
         # ||KaKb - KbKa|| is 2 if they differ anywhere, else 0.
         out.append(f"commutator {a} {b} residual {0 if witness is None else 2}")
-    # uniqueness_check's verdict from the fixes already made
-    dimension = statesim.joint_dimension(ops, h.n)
-    unique = all_fixed and dimension == 1
-    if not unique:
+    # uniqueness_check's verdict from the fixes already made; a moved state
+    # is named by its stabilized lines, so its dimension is not computed
+    dimension = statesim.joint_dimension(ops, h.n) if all_fixed else None
+    unique = dimension == 1
+    if all_fixed and not unique:
         print(f"uniqueness: the joint +1 eigenspace has dimension {dimension}", file=sys.stderr)
     out.append(f"uniqueness {'pass' if unique else 'fail'}")
     sys.stdout.write("\n".join(out) + "\n")

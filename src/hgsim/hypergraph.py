@@ -180,25 +180,24 @@ def _edge_texts(masks: np.ndarray, n: int, prefixes: list[str], sep: str, tail: 
 _REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
-def sorted_masks(masks: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
+def sorted_masks(masks: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
     """A uint64 array of label masks by size, then lexicographic vertex tuple.
 
     Among masks of one size, ascending vertex tuples are descending
-    bit-reversed masks (vertex v -> bit 64 - v), so the sort key is the
-    size, then the complement of the reversed mask.  Given ``offsets``, an
-    unsigned array of one multiple of 65 per mask, the size is offset +
-    popcount, so the masks go by offset first.  Where the sizes fit the low
-    bits that every reversed mask leaves 0, one sort of the packed keys
-    does; else the masks are sorted by the complement of the reversed mask,
-    then by size with a stable sort, a radix sort on the small sizes.
+    bit-reversed masks (vertex v -> bit 64 - v).  So the masks are sorted by
+    the complement of the reversed mask, then by size with a stable sort,
+    which numpy does as a radix sort on small unsigned sizes.  Given
+    ``groups``, one non-negative group index per mask, the masks go by group
+    first: each group's sizes are shifted past every size of the groups
+    before it.
     """
     reversed_ = np.take(_REVERSED_BYTE, masks.view(np.uint8)).view(np.uint64).byteswap()
-    size = np.bitwise_count(masks) if offsets is None else offsets + np.bitwise_count(masks)
-    need = max(int(size.max(initial=0)).bit_length(), 1)
-    if need + int(np.bitwise_or.reduce(masks, initial=0)).bit_length() <= 64:
-        packed = size.astype(np.uint64) << np.uint64(64 - need) | ~reversed_ >> np.uint64(need)
-        return masks[np.argsort(packed)]  # equal keys are equal masks, so any sort will do
-    order = np.argsort(~reversed_)
+    size = np.bitwise_count(masks)
+    if groups is not None:
+        stride = 65  # more than any popcount of a uint64
+        dtype = np.min_scalar_type(stride * (int(groups.max(initial=0)) + 1))
+        size = groups.astype(dtype) * dtype.type(stride) + size
+    order = np.argsort(~reversed_)  # equal keys are equal masks, so any sort will do
     return masks[order[np.argsort(size[order], kind="stable")]]
 
 

@@ -183,8 +183,8 @@ def operator_texts(ops: list[StabilizerOperator]) -> list[str]:
     if any(op.n != n for op in ops):
         raise ValueError("operators of different qubit counts")
     sizes = [op.masks.size for op in ops]
-    offsets = np.arange(0, 65 * len(ops), 65, dtype=np.min_scalar_type(65 * len(ops)))
-    masks = sorted_masks(np.concatenate([op.masks for op in ops]), np.repeat(offsets, sizes))
+    groups = np.repeat(np.arange(len(ops)), sizes)
+    masks = sorted_masks(np.concatenate([op.masks for op in ops]), groups)
     pieces = _edge_texts(masks, n, [f" C{k}Z(" for k in range(n + 1)], ",", ")")
     ends = np.cumsum(sizes).tolist()
     return [

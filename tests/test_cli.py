@@ -344,15 +344,21 @@ def test_verify_names_the_label_of_a_failing_commutator(grover_graph, monkeypatc
     code, out, err = run_cli(["verify", grover_graph, "--seed", "9"], capsys)
     assert code == 1
     h = cli.hypergraph.parse(GROVER3)
-    first = real(h, 1)
-    label = statesim.commutation_witness(first, wrong)
-    assert label is not None
-    commutators = [line for line in err.splitlines() if line.startswith("commutator")]
-    assert commutators[0] == f"commutator 1 2: K1K2 and K2K1 differ at label {label}"
-    assert len(commutators) == 2  # the pair 2 3 fails too
-    # the operator norm of K1K2 - K2K1, from the dense matrices
-    k1, k2 = helpers.stabilizer_matrix(first), helpers.stabilizer_matrix(wrong)
-    assert np.linalg.norm(k1 @ k2 - k2 @ k1, 2) == 2.0
+    first, third = real(h, 1), real(h, 3)
+    assert err == (
+        "stabilized 2: K2|H> and |H> differ at label 1\n"
+        "commutator 1 2: K1K2 and K2K1 differ at label 0\n"
+        "commutator 2 3: K2K3 and K3K2 differ at label 1\n"
+    )
+    # the labels, from the dense matrices: the first row where the products
+    # differ, and the first amplitude K2 changes; the operator norm of the
+    # commutator is 2
+    k1, k2, k3 = (helpers.stabilizer_matrix(op) for op in (first, wrong, third))
+    for ka, kb, label in [(k1, k2, 0), (k2, k3, 1)]:
+        assert int(np.flatnonzero((ka @ kb - kb @ ka).any(axis=1))[0]) == label
+        assert np.linalg.norm(ka @ kb - kb @ ka, 2) == 2.0
+    psi = helpers.amplitudes(statesim.build_state(h))
+    assert int(np.flatnonzero(k2 @ psi != psi)[0]) == 1
     assert "commutator 1 2 residual 2" in out.splitlines()
     assert "commutator 1 3 residual 0" in out.splitlines()
 
@@ -371,7 +377,6 @@ def test_verify_names_the_label_each_failing_stabilizer_moves(grover_graph, monk
         "stabilized 1: K1|H> and |H> differ at label 2\n"
         "stabilized 2: K2|H> and |H> differ at label 1\n"
         "stabilized 3: K3|H> and |H> differ at label 3\n"
-        "uniqueness: the joint +1 eigenspace has dimension 1\n"
     )
     # the labels, from the dense matrices: the first amplitude K_i changes
     psi = helpers.amplitudes(statesim.build_state(hypergraph.parse(GROVER3)))

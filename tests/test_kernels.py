@@ -480,10 +480,10 @@ def test_sorted_masks_match_the_old_half_table_key(h):
 
 @PROPERTY
 @given(st.lists(hypergraphs(max_n=8), min_size=1, max_size=6))
-def test_sorted_masks_by_offset_sorts_each_group_alone(graphs):
+def test_sorted_masks_by_group_sorts_each_group_alone(graphs):
     arrays = [h.masks for h in graphs]
-    offsets = np.repeat(np.arange(0, 65 * len(arrays), 65, dtype=np.uint16), [a.size for a in arrays])
-    got = hypergraph.sorted_masks(np.concatenate(arrays), offsets)
+    groups = np.repeat(np.arange(len(arrays)), [a.size for a in arrays])
+    got = hypergraph.sorted_masks(np.concatenate(arrays), groups)
     assert got.tolist() == [m for a in arrays for m in hypergraph.sorted_masks(a).tolist()]
 
 
