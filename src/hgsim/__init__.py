@@ -7,13 +7,13 @@ local-Pauli orbits, and compute the genuine-multipartite geometric
 entanglement from bipartition spectra.
 """
 
-from .boolfn import TruthTable, mobius_transform, truth_table_from_hex
+from .boolfn import StateVector, mobius_transform, truth_table_from_hex
 from .entanglement import BipartitionReport, genuine_multipartite_geometric
 from .errors import FormatError
 from .extract import BalanceReport, classify_balance, extract_fast, extract_layered
 from .hypergraph import Hypergraph, UniformityClass, count_states
 from .orbits import OrbitKey, class_inequivalence_report, local_pauli_orbit
-from .statesim import StabilizerOperator, StateVector, build_state, verify_stabilized
+from .statesim import StabilizerOperator, build_state, verify_stabilized
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "OrbitKey",
     "StabilizerOperator",
     "StateVector",
-    "TruthTable",
     "UniformityClass",
     "build_state",
     "class_inequivalence_report",

@@ -4,7 +4,10 @@ Conventions shared by the whole package:
 
 * Basis labels are integers 0 <= x < 2**n.  Qubit i (1-based) occupies bit
   i-1 of a label, qubit 1 least significant.
-* A truth table is one big integer; bit x holds f(x).
+* A truth table is one big integer; bit x holds f(x).  It is also the sign
+  table of the state sum over x of (-1)^f(x) |x> / sqrt(2**n), so one type,
+  ``StateVector(n, signs)``, holds both: truth-table text (``from_text``)
+  and sign dumps (``statesim.load``) parse into it.
 * Hex serialization is the plain hexadecimal of that integer, zero padded to
   ceil(2**n / 4) digits, so the lowest-order hex digit covers x = 0..3.
 
@@ -28,30 +31,31 @@ MAX_QUBITS = 20
 
 
 @dataclass(frozen=True)
-class TruthTable:
-    """A Boolean function f: {0,1}^n -> {0,1} as a packed 2**n-bit table."""
+class StateVector:
+    """An n-qubit equally weighted state and its Boolean function f: bit x of
+    ``signs`` is f(x), set where the amplitude at x is -1/sqrt(2**n)."""
 
     n: int
-    bits: int
+    signs: int
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
-        if not 0 <= self.bits < 1 << (1 << self.n):
+        if not 0 <= self.signs < 1 << self.dim:
             raise ValueError("bit storage does not fit 2**n bits")
 
     @property
-    def size(self) -> int:
+    def dim(self) -> int:
         return 1 << self.n
 
     def __getitem__(self, x: int) -> int:
-        if not 0 <= x < self.size:
+        if not 0 <= x < self.dim:
             raise IndexError(f"basis label {x} out of range for n={self.n}")
-        return (self.bits >> x) & 1
+        return (self.signs >> x) & 1
 
     def weight(self) -> int:
-        """Number of inputs mapped to 1 (minus signs of the matching state)."""
-        return self.bits.bit_count()
+        """Number of inputs mapped to 1, the minus signs of the state."""
+        return self.signs.bit_count()
 
 
 def hex_digits(n: int) -> int:
@@ -59,7 +63,7 @@ def hex_digits(n: int) -> int:
     return ((1 << n) + 3) // 4
 
 
-def truth_table_from_hex(digits: str, n: int) -> TruthTable:
+def truth_table_from_hex(digits: str, n: int) -> StateVector:
     """Parse a table from its hex serialization (exact digit count required)."""
     if not 1 <= n <= MAX_QUBITS:
         raise FormatError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
@@ -68,14 +72,14 @@ def truth_table_from_hex(digits: str, n: int) -> TruthTable:
         raise FormatError(f"expected {expected} hex digits for n={n}, got {len(digits)}")
     if not all(c in string.hexdigits for c in digits):
         raise FormatError(f"invalid hex string {digits!r}")
-    return TruthTable(n, int(digits, 16))
+    return StateVector(n, int(digits, 16))
 
 
-def to_hex(tt: TruthTable) -> str:
-    return format(tt.bits, f"0{hex_digits(tt.n)}X")
+def to_hex(tt: StateVector) -> str:
+    return format(tt.signs, f"0{hex_digits(tt.n)}X")
 
 
-def from_text(text: str) -> TruthTable:
+def from_text(text: str) -> StateVector:
     """Parse the two-line truth-table format: `n <int>` then the hex string."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) != 2:
@@ -90,15 +94,15 @@ def from_text(text: str) -> TruthTable:
     return truth_table_from_hex(lines[1], n)
 
 
-def to_text(tt: TruthTable) -> str:
+def to_text(tt: StateVector) -> str:
     return f"n {tt.n}\n{to_hex(tt)}\n"
 
 
-def mobius_transform(tt: TruthTable) -> tuple[Hypergraph, int]:
+def mobius_transform(tt: StateVector) -> tuple[Hypergraph, int]:
     """The unique XOR-monomial form of a table, via the self-inverse XOR
     butterfly: the hypergraph of its nonempty monomials, and the constant
     f(0), the coefficient of the empty monomial (a global sign of the
     matching state, never a hyperedge).  ``_bits.table_from_edges`` inverts it.
     """
-    t = _bits.butterfly(tt.bits, tt.n)
+    t = _bits.butterfly(tt.signs, tt.n)
     return Hypergraph(tt.n, _bits.set_bits(t >> 1 << 1)), t & 1

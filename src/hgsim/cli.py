@@ -18,6 +18,8 @@ import string
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import _bits, boolfn, entanglement, extract, hypergraph, orbits, statesim
 from .errors import FormatError
 
@@ -85,12 +87,11 @@ def _load_graph(text: str) -> hypergraph.Hypergraph:
     return hypergraph.parse(text)
 
 
-def _load_table(text: str) -> boolfn.TruthTable:
+def _load_table(text: str) -> boolfn.StateVector:
     """Accept the truth-table format or a state dump."""
     kind = _sniff(text)
     if kind == "state dump":
-        state = statesim.load(text)
-        return statesim.table_from_state(state)
+        return statesim.load(text)
     if kind == "hypergraph file":
         raise FormatError("got a hypergraph file where a truth table or a sign dump was expected")
     return boolfn.from_text(text)
@@ -112,8 +113,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         h = extract.extract_layered(tt)
         fast = extract.extract_fast(tt)
         if h != fast:
-            first = hypergraph.Hypergraph(h.n, h.edges ^ fast.edges).sorted_edges()[0]
-            route = "layered" if first in h.edges else "fast"
+            first = int(hypergraph.sorted_masks(np.setxor1d(h.masks, fast.masks))[0])
+            route = "layered" if first in h.masks else "fast"
             vertices = " ".join(map(str, _bits.mask_bits(first, 1)))
             print(
                 "extraction mismatch between layered and fast routes\n"
@@ -182,7 +183,7 @@ def cmd_entangle(args: argparse.Namespace) -> int:
     if kind == "hypergraph file":
         state = statesim.build_state(hypergraph.parse(text))
     else:
-        state = statesim.rew_state(_load_table(text))
+        state = _load_table(text)
     report = entanglement.genuine_multipartite_geometric(state)
     sys.stdout.write(report.to_text())
     return EXIT_OK
@@ -223,13 +224,11 @@ def _selftest_items():
         return (
             h == extract.extract_fast(tt)
             and h.edge_sets() == frozenset({frozenset({1, 2, 3})})
-            and statesim.build_state(h).signs == tt.bits
+            and statesim.build_state(h) == tt
         )
 
     def grover_entangle() -> bool:
-        report = entanglement.genuine_multipartite_geometric(
-            statesim.rew_state(boolfn.from_text(GROVER3))
-        )
+        report = entanglement.genuine_multipartite_geometric(boolfn.from_text(GROVER3))
         cuts_ok = all(abs(lam - 0.75) <= 1e-10 for _, lam in report.cuts)
         return len(report.cuts) == 3 and cuts_ok and abs(report.e2 - 0.25) <= 1e-9
 
@@ -240,7 +239,7 @@ def _selftest_items():
         return (
             h == extract.extract_fast(tt)
             and h.edge_sets() == want
-            and statesim.build_state(h).signs == tt.bits
+            and statesim.build_state(h) == tt
         )
 
     def mixed_balance() -> bool:

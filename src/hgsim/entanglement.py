@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .statesim import StateVector, _signs_to_pm1
+from .boolfn import StateVector
+from .statesim import _signs_to_pm1
 
 MAX_QUBITS = 12
 ATOL_HERMITIAN = 1e-10

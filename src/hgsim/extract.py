@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _bits
-from .boolfn import TruthTable, mobius_transform
+from .boolfn import StateVector, mobius_transform
 from .hypergraph import Hypergraph
 
 CONSTANT = "constant"
@@ -36,17 +36,17 @@ class BalanceReport:
     full_edge: bool
 
 
-def _require_normalized(tt: TruthTable) -> None:
+def _require_normalized(tt: StateVector) -> None:
     if tt[0]:
         raise ValueError(
             "table must have f(0) = 0; factor the global sign out first (ANF constant)"
         )
 
 
-def extract_layered(tt: TruthTable) -> Hypergraph:
+def extract_layered(tt: StateVector) -> Hypergraph:
     """Erase minus signs level by level, recording one hyperedge per erased sign."""
     _require_normalized(tt)
-    work = tt.bits
+    work = tt.signs
     edges = 0  # the table of the recorded edge labels
     for k in range(1, tt.n + 1):
         level = work & _bits.weight_mask(tt.n, k)
@@ -57,17 +57,17 @@ def extract_layered(tt: TruthTable) -> Hypergraph:
     return Hypergraph(tt.n, _bits.set_bits(edges))
 
 
-def extract_fast(tt: TruthTable) -> Hypergraph:
+def extract_fast(tt: StateVector) -> Hypergraph:
     """The edges are the monomials of the XOR transform of the table."""
     _require_normalized(tt)
     return mobius_transform(tt)[0]
 
 
-def classify_balance(tt: TruthTable) -> BalanceReport:
+def classify_balance(tt: StateVector) -> BalanceReport:
     ones = tt.weight()
-    if ones in (0, tt.size):
+    if ones in (0, tt.dim):
         kind = CONSTANT
-    elif ones == tt.size // 2:
+    elif ones == tt.dim // 2:
         kind = BALANCED
     else:
         kind = UNBALANCED

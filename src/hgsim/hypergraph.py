@@ -77,10 +77,6 @@ class Hypergraph:
     def edge_sets(self) -> frozenset[frozenset[int]]:
         return frozenset(map(_bits.vertices_from_mask, self.masks.tolist()))
 
-    def sorted_edges(self) -> list[int]:
-        """Edges in canonical order: by size, then lexicographic vertex tuple."""
-        return sorted_masks(self.masks).tolist()
-
     def orders(self) -> frozenset[int]:
         return frozenset(np.bitwise_count(self.masks).tolist())
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _bits
-from .statesim import StateVector
+from .boolfn import StateVector
 
 REPORT_QUBITS = (3, 4, 5, 6)  # the qubit counts of the inequivalence report
 MAX_QUBITS = 4  # orbit enumeration cap: an orbit has up to 4**n keys

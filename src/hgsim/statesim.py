@@ -2,10 +2,11 @@
 
 A state is an equally weighted state, sum over x of (-1)^f(x) |x> / sqrt(2**n),
 held as the sign table of f: one big integer of sign bits (bit x set =
-minus).  Everything built from C^kZ layers, local X and local Z on the
-uniform superposition stays in this form with zero rounding, so equality
-checks are bit-perfect.  A local Y is i times XZ, and that factor of i has
-no sign table, so Y is refused.
+minus), of type ``boolfn.StateVector``: the truth table of f itself.
+Everything built from C^kZ layers, local X and local Z on the uniform
+superposition stays in this form with zero rounding, so equality (``==``
+compares tables) is bit-perfect.  A local Y is i times XZ, and that factor
+of i has no sign table, so Y is refused.
 
 A correlation operator K_i is a bit flip on one vertex times a product of
 phase gates over that vertex's neighbourhood tuples (the empty tuple stands
@@ -35,48 +36,15 @@ from typing import Iterable
 import numpy as np
 
 from . import _bits
-from .boolfn import MAX_QUBITS, TruthTable
+from .boolfn import MAX_QUBITS, StateVector
 from .errors import FormatError
 from .hypergraph import Hypergraph, _edge_texts, edge_mask, neighbour_masks, sorted_masks
 
 _SIGN_HEADER = re.compile(r"n ([1-9][0-9]?) backend sign\n")
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """An n-qubit equally weighted state: bit x of ``signs`` set means the
-    amplitude at label x is -1/sqrt(2**n), else +1/sqrt(2**n)."""
-
-    n: int
-    signs: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
-        if not 0 <= self.signs < 1 << self.dim:
-            raise ValueError("sign table does not fit 2**n bits")
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
-    @classmethod
-    def plus_state(cls, n: int) -> "StateVector":
-        return cls(n, 0)
-
-
 def _signs_to_pm1(signs: int, n: int) -> np.ndarray:
     return 1.0 - 2.0 * _bits.unpack(signs, 1 << n)
-
-
-def rew_state(tt: TruthTable) -> StateVector:
-    """The equally weighted state whose sign pattern is (-1)^f."""
-    return StateVector(tt.n, tt.bits)
-
-
-def table_from_state(s: StateVector) -> TruthTable:
-    """The Boolean function behind a state's signs."""
-    return TruthTable(s.n, s.signs)
 
 
 def build_state(h: Hypergraph) -> StateVector:

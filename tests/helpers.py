@@ -16,7 +16,6 @@ from typing import Iterator
 import numpy as np
 
 from hgsim import _bits, orbits, statesim
-from hgsim.boolfn import TruthTable
 from hgsim.hypergraph import Hypergraph
 from hgsim.orbits import OrbitKey
 from hgsim.statesim import StateVector
@@ -32,13 +31,13 @@ PAULI = {
 }
 
 
-def brute_anf(tt: TruthTable) -> tuple[set[frozenset[int]], int]:
+def brute_anf(tt: StateVector) -> tuple[set[frozenset[int]], int]:
     """Subset-sum Mobius oracle: coefficient of S is XOR of f over x <= S."""
     monomials = set()
     constant = 0
-    for s in range(tt.size):
+    for s in range(tt.dim):
         acc = 0
-        for x in range(tt.size):
+        for x in range(tt.dim):
             if x & s == x:
                 acc ^= tt[x]
         if acc:
@@ -156,20 +155,20 @@ def random_hypergraph(n: int, rng: np.random.Generator) -> Hypergraph:
     return Hypergraph(n, frozenset(m for m in range(1, 1 << n) if (indicator >> m) & 1))
 
 
-def random_table(n: int, rng: np.random.Generator, normalized: bool = False) -> TruthTable:
+def random_table(n: int, rng: np.random.Generator, normalized: bool = False) -> StateVector:
     bits = _random_bits(1 << n, rng)
     if normalized:
         bits &= ~1
-    return TruthTable(n, bits)
+    return StateVector(n, bits)
 
 
-def random_balanced_table(n: int, rng: np.random.Generator) -> TruthTable:
+def random_balanced_table(n: int, rng: np.random.Generator) -> StateVector:
     """Normalized table with exactly 2**(n-1) ones (none at x=0)."""
     ones = rng.choice(np.arange(1, 1 << n), size=1 << (n - 1), replace=False)
     bits = 0
     for x in ones:
         bits |= 1 << int(x)
-    return TruthTable(n, bits)
+    return StateVector(n, bits)
 
 
 def all_hypergraphs(n: int):

@@ -25,10 +25,10 @@ def check_boolfn(seed: int) -> None:
         tt = helpers.random_table(n, rng)
         h, constant = boolfn.mobius_transform(tt)
         assert constant == tt[0]
-        for x in rng.integers(0, tt.size, size=16):
+        for x in rng.integers(0, tt.dim, size=16):
             assert helpers.evaluate_anf(h, constant, int(x)) == tt[int(x)]
         monomials = [*h.masks.tolist(), 0] if constant else h.masks  # 0: the empty monomial
-        assert boolfn.TruthTable(n, _bits.table_from_edges(monomials, n)) == tt
+        assert boolfn.StateVector(n, _bits.table_from_edges(monomials, n)) == tt
 
 
 def check_hypergraph(seed: int) -> None:
@@ -101,7 +101,7 @@ def check_statesim(seed: int, graphs: int = 500) -> None:
         h = helpers.random_hypergraph(n, rng)
         gates = [list(_bits.vertices_from_mask(e)) for e in h.edges]
         rng.shuffle(gates)
-        s = statesim.StateVector.plus_state(n)
+        s = statesim.StateVector(n, 0)
         for g in gates:
             s = statesim.apply_ckz(s, g)
         assert s.signs == statesim.build_state(h).signs
@@ -111,7 +111,7 @@ def check_extract(seed: int, tables: int = 10_000) -> None:
     rng = np.random.default_rng(seed)
     # exhaustive bijection at n=3
     for bits in range(0, 256, 2):
-        tt = boolfn.TruthTable(3, bits)
+        tt = boolfn.StateVector(3, bits)
         h = extract.extract_fast(tt)
         assert extract.extract_layered(tt) == h
         assert statesim.build_state(h).signs == bits
@@ -123,7 +123,7 @@ def check_extract(seed: int, tables: int = 10_000) -> None:
         tt = helpers.random_table(n, rng, normalized=True)
         h = extract.extract_fast(tt)
         assert extract.extract_layered(tt) == h
-        assert statesim.build_state(h).signs == tt.bits
+        assert statesim.build_state(h).signs == tt.signs
         assert (((1 << n) - 1) in h.edges) == bool(tt.weight() & 1)
     # balanced tables never extract the full edge: exhaustive n=3, random n<=10
     for tt in _balanced_tables_n3():
@@ -140,7 +140,7 @@ def check_extract(seed: int, tables: int = 10_000) -> None:
 
 def _balanced_tables_n3():
     for bits in range(256):
-        tt = boolfn.TruthTable(3, bits)
+        tt = boolfn.StateVector(3, bits)
         if tt.weight() == 4:
             yield tt
 
@@ -178,7 +178,7 @@ def check_orbits(seed: int) -> None:
     # orbit membership is symmetric
     for _ in range(10):
         n = int(rng.integers(1, 5))
-        s = statesim.rew_state(helpers.random_table(n, rng, normalized=True))
+        s = helpers.random_table(n, rng, normalized=True)
         orbit = orbits.local_pauli_orbit(s)
         member = sorted(orbit)[int(rng.integers(len(orbit)))]
         back = orbits.local_pauli_orbit(statesim.StateVector(n, member.table))
@@ -190,7 +190,7 @@ def check_orbits(seed: int) -> None:
         big_edges = {e for e in h.edges if e.bit_count() >= 2}
         for z_mask in range(8):
             t = s.signs ^ _bits.parity_mask(z_mask, 3)
-            edges = extract.extract_fast(boolfn.TruthTable(3, t)).edges
+            edges = extract.extract_fast(boolfn.StateVector(3, t)).edges
             assert {e for e in edges if e.bit_count() >= 2} == big_edges
     # the cross-order violation list is empty
     for n in (3, 4):

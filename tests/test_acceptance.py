@@ -13,7 +13,7 @@ import pytest
 import helpers
 import invariant_suite
 from hgsim import boolfn, entanglement, extract, hypergraph, orbits, statesim
-from hgsim.boolfn import TruthTable
+from hgsim.boolfn import StateVector
 from hgsim.hypergraph import Hypergraph
 
 
@@ -26,13 +26,13 @@ def _report(num: int, label: str, elapsed: float, budget: float) -> None:
 MIXED3_MINUS_KETS = ["011", "100", "101", "110", "111"]
 
 
-def _table_from_kets(kets: list[str]) -> TruthTable:
+def _table_from_kets(kets: list[str]) -> StateVector:
     n = len(kets[0])
     bits = 0
     for ket in kets:
         x = sum(1 << i for i, c in enumerate(ket) if c == "1")
         bits |= 1 << x
-    return TruthTable(n, bits)
+    return StateVector(n, bits)
 
 
 def test_criterion_01_mixed_order_example():
@@ -48,18 +48,17 @@ def test_criterion_01_mixed_order_example():
 
     assert h.edge_sets() == want
     assert extract.extract_fast(tt).edge_sets() == want
-    assert rebuilt.signs == tt.bits  # exact sign match
+    assert rebuilt.signs == tt.signs  # exact sign match
     _report(1, "three-edge example extracts and rebuilds", elapsed, 0.001)
 
 
 def test_criterion_02_single_minus_example():
     tt = boolfn.truth_table_from_hex("80", 3)
-    state = statesim.rew_state(tt)
-    entanglement.genuine_multipartite_geometric(state)  # warmup (LAPACK load)
+    entanglement.genuine_multipartite_geometric(tt)  # warmup (LAPACK load)
 
     start = time.perf_counter()
     h = extract.extract_fast(tt)
-    report = entanglement.genuine_multipartite_geometric(state)
+    report = entanglement.genuine_multipartite_geometric(tt)
     elapsed = time.perf_counter() - start
 
     assert h.edge_sets() == frozenset({frozenset({1, 2, 3})})
@@ -140,7 +139,7 @@ def test_criterion_08_extraction_routes_agree():
     rng = np.random.default_rng(88)
     start = time.perf_counter()
     for bits in range(0, 256, 2):
-        tt = TruthTable(3, bits)
+        tt = StateVector(3, bits)
         assert extract.extract_layered(tt) == extract.extract_fast(tt)
     for _ in range(10_000):
         n = int(rng.integers(1, 13))
@@ -154,7 +153,7 @@ def test_criterion_09_parity_and_balance_laws():
     start = time.perf_counter()
     full = frozenset({1, 2, 3})
     for bits in range(0, 256, 2):
-        tt = TruthTable(3, bits)
+        tt = StateVector(3, bits)
         has_full = full in extract.extract_fast(tt).edge_sets()
         assert has_full == bool(tt.weight() & 1)
         if extract.classify_balance(tt).kind == extract.BALANCED:

@@ -10,7 +10,7 @@ from hgsim.hypergraph import Hypergraph
 
 def test_hex_parse_zero_function():
     tt = boolfn.truth_table_from_hex("00", 3)
-    assert tt.bits == 0
+    assert tt.signs == 0
     assert all(tt[x] == 0 for x in range(8))
 
 
@@ -55,12 +55,12 @@ def test_text_format_errors(text):
 
 
 def test_mobius_zero_function():
-    h, constant = boolfn.mobius_transform(boolfn.TruthTable(3, 0))
+    h, constant = boolfn.mobius_transform(boolfn.StateVector(3, 0))
     assert h == Hypergraph(3, []) and constant == 0
 
 
 def test_mobius_single_one_gives_full_monomial():
-    tt = boolfn.TruthTable(3, 0x80)
+    tt = boolfn.StateVector(3, 0x80)
     h, constant = boolfn.mobius_transform(tt)
     assert h.edge_sets() == frozenset({frozenset({1, 2, 3})})
     assert constant == 0
@@ -78,7 +78,7 @@ def test_mobius_mixed_order_example():
 def test_mobius_matches_subset_sum_oracle_exhaustively():
     for n in (1, 2, 3):
         for bits in range(1 << (1 << n)):
-            tt = boolfn.TruthTable(n, bits)
+            tt = boolfn.StateVector(n, bits)
             h, constant = boolfn.mobius_transform(tt)
             assert (set(h.edge_sets()), constant) == helpers.brute_anf(tt)
 
@@ -92,10 +92,10 @@ def test_mobius_matches_subset_sum_oracle_random():
         assert (set(h.edge_sets()), constant) == helpers.brute_anf(tt)
 
 
-def anf_table(h: Hypergraph) -> boolfn.TruthTable:
+def anf_table(h: Hypergraph) -> boolfn.StateVector:
     """The monomial form of h's edges (constant 0) on every input, by the
     package's edges -> table kernel."""
-    return boolfn.TruthTable(h.n, _bits.table_from_edges(h.masks, h.n))
+    return boolfn.StateVector(h.n, _bits.table_from_edges(h.masks, h.n))
 
 
 def test_evaluate_anf_empty_set():
@@ -126,7 +126,7 @@ def test_evaluate_anf_out_of_range():
 def test_empty_monomial_is_the_constant_not_an_edge():
     with pytest.raises(ValueError):
         Hypergraph(3, {0})
-    h, constant = boolfn.mobius_transform(boolfn.TruthTable(3, 0xFF))
+    h, constant = boolfn.mobius_transform(boolfn.StateVector(3, 0xFF))
     assert h.masks.size == 0 and constant == 1
 
 

@@ -65,6 +65,23 @@ def test_extract_rejects_unnormalized_table(tmp_path, capsys):
     assert code == 2 and out == "" and "f(0)" in err
 
 
+def test_extract_rejects_a_table_too_wide_for_its_n(tmp_path, capsys):
+    path = tmp_path / "wide.tt"
+    path.write_text("n 1\nF\n")  # one hex digit holds 4 bits; n = 1 has 2 labels
+    assert run_cli(["extract", str(path)], capsys) == (
+        2, "", "hgsim: bit storage does not fit 2**n bits\n"
+    )
+
+
+def test_load_table_gives_one_state_for_a_dump_and_a_table():
+    # the same function, as a sign dump and as truth-table text
+    from_dump = cli._load_table(statesim.dump(statesim.StateVector(3, 0xEA)))
+    from_table = cli._load_table(MIXED3_TABLE)
+    assert from_dump is not from_table
+    assert from_dump == from_table and hash(from_dump) == hash(from_table)
+    assert type(from_dump) is boolfn.StateVector
+
+
 def test_verify_reports_all_checks(grover_graph, capsys):
     code, out, err = run_cli(["verify", grover_graph], capsys)
     assert code == 0 and err == ""
@@ -528,7 +545,7 @@ def file_texts(draw):
         return hypergraph.serialize(hypergraph.Hypergraph(n, edges))
     bits = draw(st.integers(0, (1 << (1 << n)) - 1))
     if kind == "table":
-        return boolfn.to_text(boolfn.TruthTable(n, bits))
+        return boolfn.to_text(boolfn.StateVector(n, bits))
     if kind == "dump":
         return statesim.dump(statesim.StateVector(n, signs=bits))
     big = draw(st.sampled_from(EDGE_COUNTS))

@@ -13,7 +13,7 @@ TRIANGLE = Hypergraph.from_sets(3, [{1, 2}, {2, 3}, {1, 3}])
 
 
 def test_reduced_density_product_state():
-    rho = entanglement.reduced_density(StateVector.plus_state(2), {1})
+    rho = entanglement.reduced_density(StateVector(2, 0), {1})
     assert np.allclose(rho, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
 
@@ -44,7 +44,7 @@ def test_reduced_density_matches_loop_oracle():
     rng = np.random.default_rng(37)
     for _ in range(10):
         n = int(rng.integers(2, 6))
-        s = statesim.rew_state(helpers.random_table(n, rng))
+        s = helpers.random_table(n, rng)
         subsystem = sorted(
             set(rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n)), replace=False))
         )
@@ -56,7 +56,7 @@ def test_reduced_density_matches_loop_oracle():
 @pytest.mark.parametrize("q", [1, 16])
 def test_reduced_density_of_one_qubit_past_int16_labels(q):
     # at n = 16 the labels of vertex 16's side no longer fit int16
-    s = statesim.rew_state(helpers.random_table(16, np.random.default_rng(41)))
+    s = helpers.random_table(16, np.random.default_rng(41))
     psi = helpers.amplitudes(s)
     bit = (np.arange(1 << 16) >> (q - 1)) & 1
     halves = [psi[bit == 0], psi[bit == 1]]
@@ -65,14 +65,14 @@ def test_reduced_density_of_one_qubit_past_int16_labels(q):
 
 
 def test_reduced_density_rejects_bad_subsystems():
-    s = StateVector.plus_state(3)
+    s = StateVector(3, 0)
     for bad in (set(), {1, 2, 3}, {0}, {4}):
         with pytest.raises(ValueError):
             entanglement.reduced_density(s, bad)
 
 
 def test_reduced_density_rejects_non_integer_vertices():
-    s = StateVector.plus_state(3)
+    s = StateVector(3, 0)
     with pytest.raises(ValueError, match="out of range"):
         entanglement.reduced_density(s, {1.5})
 
@@ -120,7 +120,7 @@ def test_sweep_checks_each_block_like_lambda_max(bad, message, monkeypatch):
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_sweep_equals_reduced_density_across_blocks(n):
     # from n = 9 on a size class spans several blocks of cuts
-    s = statesim.rew_state(helpers.random_table(n, np.random.default_rng(n), normalized=True))
+    s = helpers.random_table(n, np.random.default_rng(n), normalized=True)
     report = entanglement.genuine_multipartite_geometric(s)
     assert [mask for mask, _ in report.cuts] == entanglement.bipartition_masks(n)
     for mask, lam in report.cuts:
@@ -139,7 +139,7 @@ def test_geometric_measure_single_minus_state():
 
 
 def test_geometric_measure_product_state_is_zero():
-    report = entanglement.genuine_multipartite_geometric(StateVector.plus_state(3))
+    report = entanglement.genuine_multipartite_geometric(StateVector(3, 0))
     assert report.e2 == pytest.approx(0.0, abs=1e-12)
     assert report.lambda_star == pytest.approx(1.0, abs=1e-12)
 
@@ -164,9 +164,9 @@ def test_bipartition_enumeration_covers_each_cut_once():
 
 def test_geometric_measure_cap():
     with pytest.raises(ValueError):
-        entanglement.genuine_multipartite_geometric(StateVector.plus_state(13))
+        entanglement.genuine_multipartite_geometric(StateVector(13, 0))
     with pytest.raises(ValueError):
-        entanglement.genuine_multipartite_geometric(StateVector.plus_state(1))
+        entanglement.genuine_multipartite_geometric(StateVector(1, 0))
 
 
 def test_report_text_format():

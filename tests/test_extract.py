@@ -4,13 +4,13 @@ import pytest
 import helpers
 import invariant_suite
 from hgsim import boolfn, extract, statesim
-from hgsim.boolfn import TruthTable
+from hgsim.boolfn import StateVector
 
 
 def test_all_plus_extracts_empty_graph():
-    h = extract.extract_layered(TruthTable(3, 0))
+    h = extract.extract_layered(StateVector(3, 0))
     assert h.edges == frozenset()
-    assert extract.extract_fast(TruthTable(3, 0)) == h
+    assert extract.extract_fast(StateVector(3, 0)) == h
 
 
 def test_mixed_order_table_extracts_three_edges():
@@ -30,7 +30,7 @@ def test_single_minus_extracts_full_edge():
 def test_unnormalized_table_is_rejected():
     for fn in (extract.extract_layered, extract.extract_fast):
         with pytest.raises(ValueError):
-            fn(TruthTable(3, 0b1))
+            fn(StateVector(3, 0b1))
 
 
 def test_methods_agree_on_random_tables():
@@ -46,15 +46,15 @@ def test_round_trip_with_build():
         n = int(rng.integers(1, 11))
         tt = helpers.random_table(n, rng, normalized=True)
         h = extract.extract_fast(tt)
-        assert statesim.build_state(h).signs == tt.bits
-        assert extract.extract_fast(statesim.table_from_state(statesim.build_state(h))) == h
+        assert statesim.build_state(h).signs == tt.signs
+        assert extract.extract_fast(statesim.build_state(h)) == h
 
 
 def test_classify_balance_constant():
-    assert extract.classify_balance(TruthTable(3, 0)) == extract.BalanceReport(
+    assert extract.classify_balance(StateVector(3, 0)) == extract.BalanceReport(
         extract.CONSTANT, False
     )
-    assert extract.classify_balance(TruthTable(3, 0xFF)) == extract.BalanceReport(
+    assert extract.classify_balance(StateVector(3, 0xFF)) == extract.BalanceReport(
         extract.CONSTANT, False
     )
 
@@ -77,7 +77,7 @@ def test_classify_balance_balanced_variant():
 
 def test_full_edge_parity_exhaustive_n3():
     for bits in range(0, 256, 2):
-        tt = TruthTable(3, bits)
+        tt = StateVector(3, bits)
         has_full = frozenset({1, 2, 3}) in extract.extract_fast(tt).edge_sets()
         assert has_full == bool(tt.weight() & 1)
         assert extract.classify_balance(tt).full_edge == has_full

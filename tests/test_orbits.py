@@ -7,7 +7,6 @@ import pytest
 import helpers
 import invariant_suite
 from hgsim import _bits, extract, orbits, statesim
-from hgsim.boolfn import TruthTable
 from hgsim.hypergraph import Hypergraph
 from hgsim.orbits import OrbitKey
 from hgsim.statesim import StateVector
@@ -41,9 +40,9 @@ def dense_orbit(s: StateVector) -> set[OrbitKey]:
 def test_plus_state_orbit_is_all_singleton_decorations():
     # local Z toggles a single-vertex edge, so the orbit has 2**n keys
     for n in (1, 2, 3):
-        orbit = orbits.local_pauli_orbit(StateVector.plus_state(n))
+        orbit = orbits.local_pauli_orbit(StateVector(n, 0))
         assert len(orbit) == 1 << n
-        assert orbit == dense_orbit(StateVector.plus_state(n))
+        assert orbit == dense_orbit(StateVector(n, 0))
 
 
 def test_pair_graph_orbit_has_four_patterns():
@@ -57,7 +56,7 @@ def test_orbit_matches_dense_oracle_on_random_states():
     rng = np.random.default_rng(13)
     for n in (1, 2, 3):
         for _ in range(4):
-            s = statesim.rew_state(helpers.random_table(n, rng, normalized=True))
+            s = helpers.random_table(n, rng, normalized=True)
             assert orbits.local_pauli_orbit(s) == dense_orbit(s)
 
 
@@ -78,7 +77,7 @@ def test_orbit_key_quotient_matches_phase_equality():
 
 def test_orbit_cap():
     with pytest.raises(ValueError):
-        orbits.local_pauli_orbit(StateVector.plus_state(5))
+        orbits.local_pauli_orbit(StateVector(5, 0))
 
 
 def test_inequivalence_report_n3():
@@ -182,7 +181,7 @@ def test_single_minus_state_is_the_full_edge_translated(n):
     full_edge = statesim.build_state(Hypergraph(n, frozenset({full})))
     for w in range(1, 1 << n):
         marked = StateVector(n, 1 << w)
-        edges = extract.extract_fast(TruthTable(n, 1 << w)).edges
+        edges = extract.extract_fast(StateVector(n, 1 << w)).edges
         assert edges == {s for s in range(1, 1 << n) if s & w == w}
         moved = marked
         for v in _bits.mask_bits(full & ~w, 1):

@@ -38,12 +38,12 @@ def test_apply_ckz_involution():
 
 
 def test_apply_ckz_two_qubit_signs():
-    s = statesim.apply_ckz(StateVector.plus_state(2), {1, 2})
+    s = statesim.apply_ckz(StateVector(2, 0), {1, 2})
     assert s.signs == 0b1000  # minus only on x=3
 
 
 def test_apply_ckz_local_z_pattern():
-    s = statesim.apply_ckz(StateVector.plus_state(3), {1})
+    s = statesim.apply_ckz(StateVector(3, 0), {1})
     assert {x for x in range(8) if (s.signs >> x) & 1} == {1, 3, 5, 7}
 
 
@@ -58,7 +58,7 @@ def test_apply_ckz_dense_backend_matches_sign_backend():
 
 def test_apply_ckz_rejects_bad_edge():
     with pytest.raises(ValueError):
-        statesim.apply_ckz(StateVector.plus_state(2), {3})
+        statesim.apply_ckz(StateVector(2, 0), {3})
 
 
 def test_local_z_twice_is_identity():
@@ -81,7 +81,7 @@ def test_local_y_equals_i_x_z_on_dense():
     # Y = iXZ, so Z then X on the sign state is the dense Y up to the factor i
     y = helpers.pauli_word_matrix("IYI")
     assert np.array_equal(y, 1j * helpers.pauli_word_matrix("IXI") @ helpers.pauli_word_matrix("IZI"))
-    s = statesim.rew_state(helpers.random_table(3, np.random.default_rng(11)))
+    s = helpers.random_table(3, np.random.default_rng(11))
     via_xz = statesim.apply_local_pauli(statesim.apply_local_pauli(s, 2, "Z"), 2, "X")
     assert np.allclose(y @ helpers.amplitudes(s), 1j * helpers.amplitudes(via_xz), atol=1e-12)
 
@@ -96,7 +96,7 @@ def test_local_y_needs_dense_backend():
 
 
 def test_local_pauli_rejects_bad_vertex_and_letter():
-    s = StateVector.plus_state(2)
+    s = StateVector(2, 0)
     with pytest.raises(ValueError):
         statesim.apply_local_pauli(s, 3, "X")
     with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ def test_apply_stabilizer_single_qubit_hand_case():
 
 def test_apply_stabilizer_dimension_mismatch():
     with pytest.raises(ValueError):
-        statesim.apply_stabilizer(StateVector.plus_state(2), statesim.stabilizer(TRIANGLE, 1))
+        statesim.apply_stabilizer(StateVector(2, 0), statesim.stabilizer(TRIANGLE, 1))
 
 
 def test_verify_stabilized_exhaustive_n3():
@@ -246,7 +246,7 @@ def test_equal_up_to_global_phase():
         overlap = abs(np.vdot(helpers.amplitudes(s), helpers.amplitudes(other)))
         assert np.isclose(overlap, 1.0, rtol=0, atol=1e-12) == equal
     with pytest.raises(ValueError):
-        statesim.equal_up_to_global_phase(s, StateVector.plus_state(2))
+        statesim.equal_up_to_global_phase(s, StateVector(2, 0))
 
 
 def test_dump_load_round_trip_sign():
@@ -272,10 +272,15 @@ def test_load_errors(text):
         statesim.load(text)
 
 
-def test_rew_state_and_table_round_trip():
-    tt = boolfn.truth_table_from_hex("EA", 3)
-    s = statesim.rew_state(tt)
-    assert statesim.table_from_state(s) == tt
+def test_equal_tables_are_equal_states():
+    # a state compares and hashes by its table, not by identity
+    assert StateVector is boolfn.StateVector
+    s = StateVector(3, 0xEA)
+    copy = statesim.load(statesim.dump(s))
+    assert copy is not s and copy == s and hash(copy) == hash(s)
+    copy = boolfn.from_text(boolfn.to_text(s))
+    assert copy is not s and copy == s and hash(copy) == hash(s)
+    assert s != StateVector(3, 0xEB) and s != StateVector(4, 0xEA)
 
 
 def test_build_rejects_oversized_graph():
