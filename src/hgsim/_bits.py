@@ -17,7 +17,7 @@ place a vertex is checked and made a bit; the labels of weight k (k-uniform
 edge slots, bipartition sides) are ``set_bits(weight_mask(n, k))``; the
 labels a cut's side and its complement span are ``deposit``; a set of masks
 becomes a checked uint64 array through ``mask_set``, which names a mask it
-rejects by ``first_bad_mask``.
+rejects by ``_first_bad_mask``.
 
 A set of label masks passes between modules in one form: an ascending
 uint64 array, as ``set_bits`` returns it and ``mask_set`` stores it.
@@ -167,12 +167,12 @@ def mask_set(
         try:
             masks = np.array(values, dtype=np.uint64)
         except OverflowError:  # a Python int below 0 or past 64 bits
-            return None, first_bad_mask(values, allowed, empty_ok)
+            return None, _first_bad_mask(values, allowed, empty_ok)
     elif masks.dtype.kind not in "iu":
         raise TypeError(f"mask array of dtype {masks.dtype}, not of integers")
     # on a signed array, a negative mask makes the OR negative
     if int(np.bitwise_or.reduce(masks, initial=0)) & ~allowed or not (empty_ok or masks.all()):
-        return None, first_bad_mask(masks, allowed, empty_ok)
+        return None, _first_bad_mask(masks, allowed, empty_ok)
     array = masks.astype(np.uint64)  # a copy: made read-only below
     if not (array[1:] > array[:-1]).all():
         array.sort()  # np.unique would take about 20 times as long
@@ -181,7 +181,7 @@ def mask_set(
     return array, None
 
 
-def first_bad_mask(
+def _first_bad_mask(
     masks: Collection[int] | np.ndarray, allowed: int, empty_ok: bool = True
 ) -> int | None:
     """The first mask with a bit outside ``allowed`` (as any negative mask

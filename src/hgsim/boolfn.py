@@ -72,11 +72,10 @@ def truth_table_from_hex(digits: str, n: int) -> StateVector:
         raise FormatError(f"expected {expected} hex digits for n={n}, got {len(digits)}")
     if not all(c in string.hexdigits for c in digits):
         raise FormatError(f"invalid hex string {digits!r}")
-    return StateVector(n, int(digits, 16))
-
-
-def to_hex(tt: StateVector) -> str:
-    return format(tt.signs, f"0{hex_digits(tt.n)}X")
+    signs = int(digits, 16)
+    if signs >> (1 << n):  # only at n = 1, where one digit holds 4 bits
+        raise FormatError(f"hex string {digits!r} sets bits past label {(1 << n) - 1} for n={n}")
+    return StateVector(n, signs)
 
 
 def from_text(text: str) -> StateVector:
@@ -95,7 +94,8 @@ def from_text(text: str) -> StateVector:
 
 
 def to_text(tt: StateVector) -> str:
-    return f"n {tt.n}\n{to_hex(tt)}\n"
+    """The two-line truth-table format that from_text reads."""
+    return f"n {tt.n}\n{tt.signs:0{hex_digits(tt.n)}X}\n"
 
 
 def mobius_transform(tt: StateVector) -> tuple[Hypergraph, int]:

@@ -218,12 +218,13 @@ SEVEN_VERTEX = "n 7\ne 6\ne 1 4\ne 2 3 4 5\ne 1 2 3 4 5 6 7\n"
 
 
 def _selftest_items():
-    def grover_extract() -> bool:
-        tt = boolfn.from_text(GROVER3)
+    def extracts(table: str, edges: list[set[int]]) -> bool:
+        """Both routes give the expected edges, and their state is the table."""
+        tt = boolfn.from_text(table)
         h = extract.extract_layered(tt)
         return (
             h == extract.extract_fast(tt)
-            and h.edge_sets() == frozenset({frozenset({1, 2, 3})})
+            and h.edge_sets() == frozenset(map(frozenset, edges))
             and statesim.build_state(h) == tt
         )
 
@@ -231,16 +232,6 @@ def _selftest_items():
         report = entanglement.genuine_multipartite_geometric(boolfn.from_text(GROVER3))
         cuts_ok = all(abs(lam - 0.75) <= 1e-10 for _, lam in report.cuts)
         return len(report.cuts) == 3 and cuts_ok and abs(report.e2 - 0.25) <= 1e-9
-
-    def mixed_extract() -> bool:
-        tt = boolfn.from_text(MIXED3)
-        h = extract.extract_layered(tt)
-        want = frozenset({frozenset({1}), frozenset({2, 3}), frozenset({1, 2, 3})})
-        return (
-            h == extract.extract_fast(tt)
-            and h.edge_sets() == want
-            and statesim.build_state(h) == tt
-        )
 
     def mixed_balance() -> bool:
         full = extract.classify_balance(boolfn.from_text(MIXED3))
@@ -278,9 +269,9 @@ def _selftest_items():
         return hypergraph.count_states(3, 2) == 8
 
     return [
-        ("grover-3 extract", grover_extract),
+        ("grover-3 extract", functools.partial(extracts, GROVER3, [{1, 2, 3}])),
         ("grover-3 entangle", grover_entangle),
-        ("mixed-3 extract", mixed_extract),
+        ("mixed-3 extract", functools.partial(extracts, MIXED3, [{1}, {2, 3}, {1, 2, 3}])),
         ("mixed-3 balance", mixed_balance),
         ("seven-vertex", seven_vertex),
         ("counting", counting),

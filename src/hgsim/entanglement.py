@@ -70,16 +70,11 @@ def lambda_max(matrix: np.ndarray) -> float:
 
 
 def _cut_classes(n: int):
-    """(k, the cuts with |A| = k as a uint64 array) for k = 1..n//2, in
-    bipartition_masks order."""
+    """(k, the cuts with |A| = k as a uint64 array) for k = 1..n//2: one
+    vertex mask per bipartition, by |A| <= n/2 (ties keep vertex 1), then mask."""
     for k in range(1, n // 2 + 1):
         side = _bits.set_bits(_bits.weight_mask(n, k))
         yield k, side[(side & 1) == 1] if 2 * k == n else side
-
-
-def bipartition_masks(n: int) -> list[int]:
-    """One vertex-mask per bipartition, by |A| <= n/2 (ties keep vertex 1), then mask."""
-    return [m for _, side in _cut_classes(n) for m in side.tolist()]
 
 
 @dataclass(frozen=True)

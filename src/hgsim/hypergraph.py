@@ -30,7 +30,7 @@ from .errors import FormatError
 MAX_VERTICES = 64
 
 
-def edge_mask(vertices: Iterable[int], n: int) -> int:
+def _edge_mask(vertices: Iterable[int], n: int) -> int:
     """Validate a vertex subset against 1..n and return its label mask."""
     mask = _bits.mask_from_vertices(vertices, n)
     if not mask:
@@ -72,7 +72,7 @@ class Hypergraph:
 
     @classmethod
     def from_sets(cls, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        return cls(n, frozenset(edge_mask(e, n) for e in edges))
+        return cls(n, frozenset(_edge_mask(e, n) for e in edges))
 
     def edge_sets(self) -> frozenset[frozenset[int]]:
         return frozenset(map(_bits.vertices_from_mask, self.masks.tolist()))
@@ -85,14 +85,14 @@ class Hypergraph:
 class UniformityClass:
     """Edge-order classification: empty, uniform of one order k, or mixed."""
 
-    kind: str  # "empty" | "uniform" | "mixed"
     orders: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("empty", "uniform", "mixed"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.kind == "uniform" and len(self.orders) != 1:
-            raise ValueError("uniform class must carry exactly one order")
+    @property
+    def kind(self) -> str:
+        """"empty", "uniform" or "mixed": no order, one order, or more."""
+        if not self.orders:
+            return "empty"
+        return "uniform" if len(self.orders) == 1 else "mixed"
 
     @property
     def k(self) -> int:
@@ -327,20 +327,8 @@ def serialize(h: Hypergraph) -> str:
     return f"n {h.n}\n" + "".join(pieces)
 
 
-def toggle_edge(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
-    """Symmetric difference: remove the edge if present, add it if absent."""
-    mask = np.uint64(edge_mask(vertices, h.n))
-    kept = h.masks[h.masks != mask]
-    return Hypergraph(h.n, kept if kept.size < h.masks.size else np.append(kept, mask))
-
-
 def classify_uniformity(h: Hypergraph) -> UniformityClass:
-    orders = h.orders()
-    if not orders:
-        return UniformityClass("empty", frozenset())
-    if len(orders) == 1:
-        return UniformityClass("uniform", orders)
-    return UniformityClass("mixed", orders)
+    return UniformityClass(h.orders())
 
 
 def neighbour_masks(h: Hypergraph, i: int) -> np.ndarray:

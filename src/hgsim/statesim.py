@@ -38,7 +38,7 @@ import numpy as np
 from . import _bits
 from .boolfn import MAX_QUBITS, StateVector
 from .errors import FormatError
-from .hypergraph import Hypergraph, _edge_texts, edge_mask, neighbour_masks, sorted_masks
+from .hypergraph import Hypergraph, _edge_mask, _edge_texts, neighbour_masks, sorted_masks
 
 _SIGN_HEADER = re.compile(r"n ([1-9][0-9]?) backend sign\n")
 
@@ -61,7 +61,7 @@ def build_state(h: Hypergraph) -> StateVector:
 
 def apply_ckz(s: StateVector, vertices: Iterable[int]) -> StateVector:
     """Negate every amplitude whose excitation set contains the given edge."""
-    return StateVector(s.n, s.signs ^ _bits.table_from_edges([edge_mask(vertices, s.n)], s.n))
+    return StateVector(s.n, s.signs ^ _bits.table_from_edges([_edge_mask(vertices, s.n)], s.n))
 
 
 def apply_local_pauli(s: StateVector, i: int, p: str) -> StateVector:
@@ -190,14 +190,10 @@ def verify_stabilized(h: Hypergraph) -> bool:
     )
 
 
-def commutation_witness(op_a: StabilizerOperator, op_b: StabilizerOperator) -> int | None:
-    """The lowest label at which K_a K_b and K_b K_a differ, or None if they commute."""
-    return commutation_witnesses([op_a, op_b])[0]
-
-
 def commutation_witnesses(ops: list[StabilizerOperator]) -> list[int | None]:
-    """commutation_witness of each pair a < b of operators of one n, in the
-    order (1, 2), (1, 3), ..., (2, 3), ...
+    """For each pair a < b of operators of one n, in the order (1, 2),
+    (1, 3), ..., (2, 3), ...: the lowest label at which K_a K_b and K_b K_a
+    differ, or None if they commute.
 
     Exact, on sign tables.  K with flip bit f and diagonal D maps a sign
     table S to P(S ^ D, f), P = xor_permute, so both products of a pair

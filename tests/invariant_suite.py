@@ -41,8 +41,9 @@ def check_hypergraph(seed: int) -> None:
         h = helpers.random_hypergraph(n, rng)
         assert hypergraph.parse(hypergraph.serialize(h)) == h
         # toggle involution and neighbourhood size
-        edge = _bits.vertices_from_mask(int(rng.integers(1, 1 << n)))
-        assert hypergraph.toggle_edge(hypergraph.toggle_edge(h, edge), edge) == h
+        edge = np.uint64([rng.integers(1, 1 << n)])
+        toggled = hypergraph.Hypergraph(n, np.setxor1d(h.masks, edge))
+        assert hypergraph.Hypergraph(n, np.setxor1d(toggled.masks, edge)) == h
         for i in range(1, n + 1):
             hood = hypergraph.neighbourhood(h, i)
             assert len(hood) == sum(1 for e in h.edges if (e >> (i - 1)) & 1)
@@ -68,8 +69,9 @@ def check_statesim(seed: int, graphs: int = 500) -> None:
     for _ in range(50):
         n = int(rng.integers(1, 9))
         h = helpers.random_hypergraph(n, rng)
-        edge = _bits.vertices_from_mask(int(rng.integers(1, 1 << n)))
-        toggled = statesim.build_state(hypergraph.toggle_edge(h, edge))
+        mask = np.uint64([rng.integers(1, 1 << n)])
+        toggled = statesim.build_state(hypergraph.Hypergraph(n, np.setxor1d(h.masks, mask)))
+        edge = _bits.vertices_from_mask(int(mask[0]))
         assert toggled.signs == statesim.apply_ckz(statesim.build_state(h), edge).signs
         s = statesim.build_state(h)
         for x in rng.integers(0, 1 << n, size=8):

@@ -22,11 +22,19 @@ FUNCTION_ROWS = [
 ]
 
 
+def row_function(row: str) -> str:
+    """The `module.function` a row names; "bits" is the hgsim._bits module."""
+    module, function, _ = row.split(".")
+    return f"{'_bits' if module == 'bits' else module}.{function}"
+
+
+ROW_FUNCTIONS = sorted({row_function(row) for row in FUNCTION_ROWS})
+
+
 @pytest.mark.parametrize("row", FUNCTION_ROWS)
 def test_function_row_names_a_public_function(row):
-    module_name, function, _ = row.split(".")
-    # "bits" is the hgsim._bits module
-    module = importlib.import_module(f"hgsim.{'_bits' if module_name == 'bits' else module_name}")
+    module_name, function = row_function(row).split(".")
+    module = importlib.import_module(f"hgsim.{module_name}")
     obj = getattr(module, function, None)
     assert callable(obj) and not inspect.isclass(obj) and not function.startswith("_")
     assert obj.__module__ == module.__name__

@@ -69,7 +69,7 @@ def test_extract_rejects_a_table_too_wide_for_its_n(tmp_path, capsys):
     path = tmp_path / "wide.tt"
     path.write_text("n 1\nF\n")  # one hex digit holds 4 bits; n = 1 has 2 labels
     assert run_cli(["extract", str(path)], capsys) == (
-        2, "", "hgsim: bit storage does not fit 2**n bits\n"
+        2, "", "hgsim: hex string 'F' sets bits past label 1 for n=1\n"
     )
 
 
@@ -239,8 +239,8 @@ def test_extract_names_the_first_edge_only_the_fast_route_has(mixed_table, monke
     # e 1 2 sorts before e 1 2 3, which the fast route lacks
     real = extract.extract_fast
     monkeypatch.setattr(
-        extract, "extract_fast", lambda tt: hypergraph.toggle_edge(
-            hypergraph.toggle_edge(real(tt), [1, 2, 3]), [1, 2]
+        extract, "extract_fast", lambda tt: hypergraph.Hypergraph(
+            tt.n, np.setxor1d(real(tt).masks, np.uint64([0b111, 0b011]))
         )
     )
     assert run_cli(["extract", mixed_table], capsys) == (

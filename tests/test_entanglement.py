@@ -122,7 +122,7 @@ def test_sweep_equals_reduced_density_across_blocks(n):
     # from n = 9 on a size class spans several blocks of cuts
     s = helpers.random_table(n, np.random.default_rng(n), normalized=True)
     report = entanglement.genuine_multipartite_geometric(s)
-    assert [mask for mask, _ in report.cuts] == entanglement.bipartition_masks(n)
+    assert [mask for mask, _ in report.cuts] == helpers.loop_bipartition_masks(n)
     for mask, lam in report.cuts:
         rho = entanglement.reduced_density(s, _bits.vertices_from_mask(mask))
         assert lam == entanglement.lambda_max(rho)
@@ -152,7 +152,7 @@ def test_geometric_measure_triangle_graph():
 
 def test_bipartition_enumeration_covers_each_cut_once():
     for n in range(2, 8):
-        masks = entanglement.bipartition_masks(n)
+        masks = [m for _, side in entanglement._cut_classes(n) for m in side.tolist()]
         assert len(masks) == (1 << (n - 1)) - 1
         full = (1 << n) - 1
         seen = set()

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 import invariant_suite
-from hgsim import hypergraph
+from hgsim import hypergraph, statesim
 from hgsim.errors import FormatError
-from hgsim.hypergraph import Hypergraph
+from hgsim.hypergraph import Hypergraph, UniformityClass
 
 FIG4 = Hypergraph.from_sets(3, [{1}, {2, 3}, {1, 2, 3}])
 
@@ -46,23 +47,19 @@ def test_serialize_is_canonical():
     assert hypergraph.serialize(FIG4) == "n 3\ne 1\ne 2 3\ne 1 2 3\n"
 
 
-def test_toggle_adds_and_removes():
-    empty = Hypergraph(2, frozenset())
-    once = hypergraph.toggle_edge(empty, {1, 2})
-    assert once.edge_sets() == frozenset({frozenset({1, 2})})
-    assert hypergraph.toggle_edge(once, {1, 2}) == empty
-
-
 def test_toggle_full_edge_gives_balanced_variant():
-    h = hypergraph.toggle_edge(FIG4, {1, 2, 3})
+    h = Hypergraph(3, np.setxor1d(FIG4.masks, np.uint64([0b111])))
     assert h.edge_sets() == frozenset({frozenset({1}), frozenset({2, 3})})
+    # the full edge is present iff the count of minus signs is odd
+    assert statesim.build_state(FIG4).weight() == 5
+    assert statesim.build_state(h).weight() == 4
 
 
-def test_toggle_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        hypergraph.toggle_edge(FIG4, set())
-    with pytest.raises(ValueError):
-        hypergraph.toggle_edge(FIG4, {0, 1})
+def test_from_sets_rejects_bad_edges():
+    with pytest.raises(ValueError, match="^edge must be a nonempty vertex subset$"):
+        Hypergraph.from_sets(3, [{1}, set()])
+    with pytest.raises(ValueError, match="^vertex 0 out of range 1..3$"):
+        Hypergraph.from_sets(3, [{0, 1}])
 
 
 def test_classify_uniformity():
@@ -73,6 +70,11 @@ def test_classify_uniformity():
     mixed = hypergraph.classify_uniformity(FIG4)
     assert mixed.kind == "mixed" and mixed.orders == frozenset({1, 2, 3})
     assert str(mixed) == "mixed 1,2,3"
+    # the kind follows from the orders alone
+    assert [UniformityClass(frozenset(o)).kind for o in ((), (3,), (2, 3))] == [
+        "empty", "uniform", "mixed"
+    ]
+    assert UniformityClass(frozenset({3})) == hypergraph.classify_uniformity(Hypergraph(3, {7}))
 
 
 def test_neighbourhood_empty_graph():

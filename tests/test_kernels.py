@@ -295,13 +295,14 @@ def test_first_bad_mask_is_the_first_failing_mask(case):
     n, flip, empty_ok, masks = case
     clear = (1 << flip) >> 1  # no bit for flip = 0
     allowed = ((1 << n) - 1) & ~clear
-    got = _bits.first_bad_mask(masks, allowed, empty_ok)
+    got = _bits._first_bad_mask(masks, allowed, empty_ok)
     assert got == helpers.loop_mask_check(masks, n, clear, empty_ok)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_N + 1))
 def test_bipartition_masks_match_filter_and_sort(n):
-    assert entanglement.bipartition_masks(n) == helpers.loop_bipartition_masks(n)
+    cuts = [m for _, side in entanglement._cut_classes(n) for m in side.tolist()]
+    assert cuts == helpers.loop_bipartition_masks(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -439,7 +440,6 @@ def test_signed_mask_arrays_are_checked_like_python_ints():
 
 VERTEX_SET_ENTRY_POINTS = {
     "Hypergraph.from_sets": lambda vs: Hypergraph.from_sets(3, [vs]),
-    "toggle_edge": lambda vs: hypergraph.toggle_edge(Hypergraph(3, {0b11, 0b100}), vs),
     "apply_ckz": lambda vs: statesim.apply_ckz(statesim.StateVector(3, signs=0b10010110), vs).signs,
     "StabilizerOperator.from_sets": lambda vs: statesim.StabilizerOperator.from_sets(3, 3, [vs]),
     "reduced_density": lambda vs: entanglement.reduced_density(

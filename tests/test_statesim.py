@@ -329,7 +329,7 @@ def test_exact_commutation_agrees_with_probe_residual(pair, seed):
     op_a, op_b = pair
     probe = statesim.random_state(op_a.n, np.random.default_rng(seed))
     residual = statesim.commutator_residual(op_a, op_b, probe)
-    witness = statesim.commutation_witness(op_a, op_b)
+    witness = statesim.commutation_witnesses([op_a, op_b])[0]
     assert (witness is None) == (residual == 0.0)
 
 
@@ -339,7 +339,7 @@ def test_commutation_witness_is_the_first_label_where_products_differ(pair):
     op_a, op_b = pair
     ka, kb = helpers.stabilizer_matrix(op_a), helpers.stabilizer_matrix(op_b)
     differ = np.flatnonzero(np.any(ka @ kb != kb @ ka, axis=1))
-    witness = statesim.commutation_witness(op_a, op_b)
+    witness = statesim.commutation_witnesses([op_a, op_b])[0]
     if differ.size == 0:
         assert witness is None
     else:
@@ -364,7 +364,7 @@ def test_commutation_witnesses_are_the_witnesses_of_each_pair(case):
     n, ops = case
     got = statesim.commutation_witnesses(ops)
     pairs = [(a, b) for a in range(len(ops)) for b in range(a + 1, len(ops))]
-    assert got == [statesim.commutation_witness(ops[a], ops[b]) for a, b in pairs]
+    assert got == [statesim.commutation_witnesses([ops[a], ops[b]])[0] for a, b in pairs]
     assert got == [helpers.loop_commutation_witness(ops[a], ops[b]) for a, b in pairs]
 
 
@@ -383,8 +383,8 @@ def test_commutation_witnesses_name_a_non_commuting_pair():
 
 def test_commutation_witness_rejects_mixed_sizes():
     with pytest.raises(ValueError):
-        statesim.commutation_witness(
-            StabilizerOperator(2, 1, frozenset()), StabilizerOperator(3, 1, frozenset())
+        statesim.commutation_witnesses(
+            [StabilizerOperator(2, 1, frozenset()), StabilizerOperator(3, 1, frozenset())]
         )
 
 
