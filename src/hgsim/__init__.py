@@ -13,7 +13,7 @@ from .errors import FormatError
 from .extract import BalanceReport, classify_balance, extract_fast, extract_layered
 from .hypergraph import Hypergraph, UniformityClass, count_states
 from .orbits import OrbitKey, class_inequivalence_report, local_pauli_orbit
-from .statesim import StabilizerOperator, build_state, verify_stabilized
+from .statesim import StabilizerOperator, build_state
 
 __version__ = "0.1.0"
 
@@ -36,5 +36,4 @@ __all__ = [
     "local_pauli_orbit",
     "mobius_transform",
     "truth_table_from_hex",
-    "verify_stabilized",
 ]

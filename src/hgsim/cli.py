@@ -126,45 +126,45 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _failures(ops: list[statesim.StabilizerOperator], report: statesim.Verification) -> list[str]:
+    """A witness line per failed check of a verification report: none iff all
+    pass.  A moved state is named by its operators, so it has no dimension."""
+    lines = []
+    for op, label in zip(ops, report.moved):
+        if label is not None:
+            lines.append(f"stabilized {op.i}: K{op.i}|H> and |H> differ at label {label}")
+    pairs = itertools.combinations(range(1, len(ops) + 1), 2)
+    for (a, b), witness in zip(pairs, report.witnesses):
+        if witness is not None:
+            lines.append(f"commutator {a} {b}: K{a}K{b} and K{b}K{a} differ at label {witness}")
+    if report.dimension not in (None, 1):
+        lines.append(f"uniqueness: the joint +1 eigenspace has dimension {report.dimension}")
+    return lines
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     h = _load_graph(_read(args.graph))
-    state = statesim.build_state(h)
     ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
-    out = [f"stabilizer {op.i} {text}" for op, text in zip(ops, statesim.operator_texts(ops))]
-    all_fixed = True
-    for op in ops:
-        moved = statesim.apply_stabilizer(state, op).signs ^ state.signs
-        all_fixed &= not moved
-        out.append(f"stabilized {op.i} {'fail' if moved else 'pass'}")
-        if moved:
-            print(
-                f"stabilized {op.i}: K{op.i}|H> and |H> differ at label "
-                f"{(moved & -moved).bit_length() - 1}",
-                file=sys.stderr,
-            )
-    witnesses = statesim.commutation_witnesses(ops)
-    for (a, b), witness in zip(itertools.combinations(range(1, h.n + 1), 2), witnesses):
-        if witness is not None:
-            print(
-                f"commutator {a} {b}: K{a}K{b} and K{b}K{a} differ at label {witness}",
-                file=sys.stderr,
-            )
+    report = statesim.verification(statesim.build_state(h), ops)
+    out = [f"stabilizer {op.i} {text}" for op, text in zip(ops, statesim.stabilizer_texts(h))]
+    for op, label in zip(ops, report.moved):
+        out.append(f"stabilized {op.i} {'pass' if label is None else 'fail'}")
+    pairs = itertools.combinations(range(1, h.n + 1), 2)
+    for (a, b), witness in zip(pairs, report.witnesses):
         # Both products are one label permutation times +-1 diagonals, so
         # ||KaKb - KbKa|| is 2 if they differ anywhere, else 0.
         out.append(f"commutator {a} {b} residual {0 if witness is None else 2}")
-    # uniqueness_check's verdict from the fixes already made; a moved state
-    # is named by its stabilized lines, so its dimension is not computed
-    dimension = statesim.joint_dimension(ops, h.n) if all_fixed else None
-    unique = dimension == 1
-    if all_fixed and not unique:
-        print(f"uniqueness: the joint +1 eigenspace has dimension {dimension}", file=sys.stderr)
-    out.append(f"uniqueness {'pass' if unique else 'fail'}")
+    out.append(f"uniqueness {'pass' if report.dimension == 1 else 'fail'}")
+    failures = _failures(ops, report)
+    sys.stderr.write("".join(line + "\n" for line in failures))
     sys.stdout.write("\n".join(out) + "\n")
-    ok = all_fixed and all(w is None for w in witnesses)
-    return EXIT_OK if ok and unique else EXIT_FAIL
+    return EXIT_FAIL if failures else EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if args.graph is not None and args.table is not None:
+        print(f"classify: got {args.graph} and --table {args.table}; give one", file=sys.stderr)
+        return EXIT_USAGE
     if args.table is not None:
         report = extract.classify_balance(_load_table(_read(args.table)))
         print(f"class {report.kind}")
@@ -218,60 +218,57 @@ SEVEN_VERTEX = "n 7\ne 6\ne 1 4\ne 2 3 4 5\ne 1 2 3 4 5 6 7\n"
 
 
 def _selftest_items():
-    def extracts(table: str, edges: list[set[int]]) -> bool:
-        """Both routes give the expected edges, and their state is the table."""
+    """(name, check) per item; a check gives (failure, ok) pairs, failures worded for stderr."""
+
+    def extracts(table: str, edges: list[int]) -> list[tuple[str, bool]]:
         tt = boolfn.from_text(table)
         h = extract.extract_layered(tt)
-        return (
-            h == extract.extract_fast(tt)
-            and h.edge_sets() == frozenset(map(frozenset, edges))
-            and statesim.build_state(h) == tt
-        )
+        return [
+            ("the layered and fast routes differ", h == extract.extract_fast(tt)),
+            ("the edges are not the expected ones", h == hypergraph.Hypergraph(tt.n, edges)),
+            ("the state of the edges is not the table", statesim.build_state(h) == tt),
+        ]
 
-    def grover_entangle() -> bool:
+    def grover_entangle() -> list[tuple[str, bool]]:
         report = entanglement.genuine_multipartite_geometric(boolfn.from_text(GROVER3))
-        cuts_ok = all(abs(lam - 0.75) <= 1e-10 for _, lam in report.cuts)
-        return len(report.cuts) == 3 and cuts_ok and abs(report.e2 - 0.25) <= 1e-9
+        return [
+            (f"{len(report.cuts)} cuts, not 3", len(report.cuts) == 3),
+            ("a cut lambda is not 0.75", all(abs(lam - 0.75) <= 1e-10 for _, lam in report.cuts)),
+            (f"E2 is {report.e2}, not 0.25", abs(report.e2 - 0.25) <= 1e-9),
+        ]
 
-    def mixed_balance() -> bool:
+    def mixed_balance() -> list[tuple[str, bool]]:
         full = extract.classify_balance(boolfn.from_text(MIXED3))
         flat = extract.classify_balance(boolfn.from_text(MIXED3_BALANCED))
-        balanced_edges = extract.extract_fast(boolfn.from_text(MIXED3_BALANCED))
-        return (
-            full.kind == extract.UNBALANCED
-            and full.full_edge
-            and flat.kind == extract.BALANCED
-            and not flat.full_edge
-            and balanced_edges.edge_sets()
-            == frozenset({frozenset({1}), frozenset({2, 3})})
-        )
+        edges = extract.extract_fast(boolfn.from_text(MIXED3_BALANCED))
+        return [
+            (f"EA gives {full}", full == extract.BalanceReport(extract.UNBALANCED, True)),
+            (f"6A gives {flat}", flat == extract.BalanceReport(extract.BALANCED, False)),
+            ("6A does not extract to e 1, e 2 3", edges == hypergraph.Hypergraph(3, [1, 6])),
+        ]
 
-    def seven_vertex() -> bool:
+    def seven_vertex() -> list[tuple[str, bool]]:
         h = hypergraph.parse(SEVEN_VERTEX)
-        want = frozenset(
-            {frozenset({1}), frozenset({2, 3, 5}), frozenset({1, 2, 3, 5, 6, 7})}
-        )
-        if hypergraph.neighbourhood(h, 4) != want:
-            return False
-        return statesim.uniqueness_check(h)  # every stabilizer fixes the state, and only it
+        ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
+        failures = _failures(ops, statesim.verification(statesim.build_state(h), ops))
+        want = statesim.StabilizerOperator.from_sets(7, 4, [{1}, {2, 3, 5}, {1, 2, 3, 5, 6, 7}])
+        return [("stabilizer 4 has other tuples", ops[3] == want)] + [(f, False) for f in failures]
 
-    def counting() -> bool:
+    def counting() -> list[tuple[str, bool]]:
+        checks = [("count_states(3, 2) is not 8", hypergraph.count_states(3, 2) == 8)]
         for n, expected in ((2, 8), (3, 128)):
-            # bit j of a choice picks the edge mask j + 1
-            seen = {
-                statesim.build_state(
-                    hypergraph.Hypergraph(n, frozenset(_bits.mask_bits(pick, 1)))
-                ).signs
-                for pick in range(1 << ((1 << n) - 1))
-            }
-            if len(seen) != expected or hypergraph.count_states(n) != expected:
-                return False
-        return hypergraph.count_states(3, 2) == 8
+            picks = range(1 << ((1 << n) - 1))  # bit j of a pick is the edge mask j + 1
+            graphs = [hypergraph.Hypergraph(n, _bits.mask_bits(pick, 1)) for pick in picks]
+            seen = {statesim.build_state(h).signs for h in graphs}
+            count = hypergraph.count_states(n)
+            ok = len(seen) == count == expected
+            checks.append((f"n={n}: {len(seen)} sign tables, count_states {count}", ok))
+        return checks
 
     return [
-        ("grover-3 extract", functools.partial(extracts, GROVER3, [{1, 2, 3}])),
+        ("grover-3 extract", functools.partial(extracts, GROVER3, [0b111])),
         ("grover-3 entangle", grover_entangle),
-        ("mixed-3 extract", functools.partial(extracts, MIXED3, [{1}, {2, 3}, {1, 2, 3}])),
+        ("mixed-3 extract", functools.partial(extracts, MIXED3, [0b001, 0b110, 0b111])),
         ("mixed-3 balance", mixed_balance),
         ("seven-vertex", seven_vertex),
         ("counting", counting),
@@ -281,9 +278,11 @@ def _selftest_items():
 def cmd_selftest(args: argparse.Namespace) -> int:
     failures = 0
     for name, check in _selftest_items():
-        ok = check()
-        failures += not ok
-        print(f"{name} {'PASS' if ok else 'FAIL'}")
+        failed = [sub for sub, ok in check() if not ok]
+        if failed:
+            print(f"{name}: {failed[0]}", file=sys.stderr)
+        failures += bool(failed)
+        print(f"{name} {'FAIL' if failed else 'PASS'}")
     print(f"selftest {'PASS' if failures == 0 else 'FAIL'}")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 

@@ -74,9 +74,6 @@ class Hypergraph:
     def from_sets(cls, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
         return cls(n, frozenset(_edge_mask(e, n) for e in edges))
 
-    def edge_sets(self) -> frozenset[frozenset[int]]:
-        return frozenset(map(_bits.vertices_from_mask, self.masks.tolist()))
-
     def orders(self) -> frozenset[int]:
         return frozenset(np.bitwise_count(self.masks).tolist())
 
@@ -176,23 +173,16 @@ def _edge_texts(masks: np.ndarray, n: int, prefixes: list[str], sep: str, tail: 
 _REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
-def sorted_masks(masks: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
+def sorted_masks(masks: np.ndarray) -> np.ndarray:
     """A uint64 array of label masks by size, then lexicographic vertex tuple.
 
     Among masks of one size, ascending vertex tuples are descending
     bit-reversed masks (vertex v -> bit 64 - v).  So the masks are sorted by
     the complement of the reversed mask, then by size with a stable sort,
-    which numpy does as a radix sort on small unsigned sizes.  Given
-    ``groups``, one non-negative group index per mask, the masks go by group
-    first: each group's sizes are shifted past every size of the groups
-    before it.
+    which numpy does as a radix sort on small unsigned sizes.
     """
     reversed_ = np.take(_REVERSED_BYTE, masks.view(np.uint8)).view(np.uint64).byteswap()
     size = np.bitwise_count(masks)
-    if groups is not None:
-        stride = 65  # more than any popcount of a uint64
-        dtype = np.min_scalar_type(stride * (int(groups.max(initial=0)) + 1))
-        size = groups.astype(dtype) * dtype.type(stride) + size
     order = np.argsort(~reversed_)  # equal keys are equal masks, so any sort will do
     return masks[order[np.argsort(size[order], kind="stable")]]
 

@@ -18,12 +18,12 @@ phase-gate product is itself a +-1 diagonal, so an operator application is
 one diagonal table plus one label permutation, O(2**n) regardless of how
 many tuples it carries.
 
-Commutation and uniqueness are decided exactly on sign tables
-(``commutation_witnesses`` names the first label where the two products
-of each pair differ; ``joint_dimension`` counts the joint +1 eigenspace),
-so ``verify`` draws no random probe.  The complex vectors of
-``random_state`` and ``commutator_residual`` are probes that no command
-runs.
+One routine, ``verification``, decides exactly on sign tables whether each
+operator fixes a state, each pair commutes and the state alone spans their
+joint +1 eigenspace, so ``verify`` draws no random probe.
+``stabilizer_texts`` writes every operator of a graph from one sort of its
+edges.  The complex vectors of ``random_state`` and ``commutator_residual``
+are probes that no command runs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -138,32 +138,35 @@ class StabilizerOperator:
         return arr
 
     def __str__(self) -> str:
-        return operator_texts([self])[0]
+        return _operator_texts(self.n, [self.i], [sorted_masks(self.masks)])[0]
 
 
-def operator_texts(ops: list[StabilizerOperator]) -> list[str]:
-    """The text of each operator: `X<i>`, then ` C<k>Z(<vertices>)` per tuple
-    by size, then vertex tuple.  The operators share one n; their tuples are
-    sorted together, operator by operator, and written by one _edge_texts call."""
-    if not ops:
-        return []
-    n = ops[0].n
-    if any(op.n != n for op in ops):
-        raise ValueError("operators of different qubit counts")
-    sizes = [op.masks.size for op in ops]
-    groups = np.repeat(np.arange(len(ops)), sizes)
-    masks = sorted_masks(np.concatenate([op.masks for op in ops]), groups)
-    pieces = _edge_texts(masks, n, [f" C{k}Z(" for k in range(n + 1)], ",", ")")
-    ends = np.cumsum(sizes).tolist()
+def _operator_texts(n: int, flips: list[int], tuples: list[np.ndarray]) -> list[str]:
+    """The text `X<i>`, then ` C<k>Z(<vertices>)` per tuple, of each flip
+    vertex i and its uint64 tuple masks, already in text order (by size,
+    then vertex tuple); one _edge_texts call writes every tuple."""
+    pieces = _edge_texts(np.concatenate(tuples), n, [f" C{k}Z(" for k in range(n + 1)], ",", ")")
+    ends = np.cumsum([masks.size for masks in tuples]).tolist()
     return [
-        f"X{op.i}" + "".join(pieces[2 * start:2 * end])
-        for op, start, end in zip(ops, [0, *ends], ends)
+        f"X{i}" + "".join(pieces[2 * start:2 * end])
+        for i, start, end in zip(flips, [0, *ends], ends)
     ]
 
 
 def stabilizer(h: Hypergraph, i: int) -> StabilizerOperator:
     """The correlation operator of vertex i for the given hypergraph."""
     return StabilizerOperator(h.n, i, neighbour_masks(h, i))
+
+
+def stabilizer_texts(h: Hypergraph) -> list[str]:
+    """The text of each vertex's correlation operator, as ``str`` gives it,
+    from one sort of the edges.  Clearing vertex i from two edges that hold
+    it keeps their order by size, then vertex tuple: where the tuples first
+    differ, only the larger can have i, and its next vertex is larger still."""
+    edges = sorted_masks(h.masks)
+    flips = list(range(1, h.n + 1))
+    bits = [np.uint64(1 << (i - 1)) for i in flips]
+    return _operator_texts(h.n, flips, [edges[(edges & bit) != 0] ^ bit for bit in bits])
 
 
 def _apply_stabilizer_raw(v: np.ndarray, op: StabilizerOperator) -> np.ndarray:
@@ -180,14 +183,6 @@ def apply_stabilizer(s: StateVector, op: StabilizerOperator) -> StateVector:
     if s.n != op.n:
         raise ValueError(f"dimension mismatch: state n={s.n}, operator n={op.n}")
     return StateVector(s.n, _bits.xor_permute(s.signs ^ op.diagonal_table, op.flip, s.n))
-
-
-def verify_stabilized(h: Hypergraph) -> bool:
-    """True iff every vertex's correlation operator fixes the built state exactly."""
-    s = build_state(h)
-    return all(
-        apply_stabilizer(s, stabilizer(h, i)).signs == s.signs for i in range(1, h.n + 1)
-    )
 
 
 def commutation_witnesses(ops: list[StabilizerOperator]) -> list[int | None]:
@@ -210,9 +205,13 @@ def commutation_witnesses(ops: list[StabilizerOperator]) -> list[int | None]:
     witnesses = []
     for a in range(len(ops)):
         for b in range(a + 1, len(ops)):
-            diff = change[a][b] ^ change[b][a]
-            witnesses.append((diff & -diff).bit_length() - 1 if diff else None)
+            witnesses.append(_lowest(change[a][b] ^ change[b][a]))
     return witnesses
+
+
+def _lowest(table: int) -> int | None:
+    """The lowest label set in a table, or None for the empty table."""
+    return (table & -table).bit_length() - 1 if table else None
 
 
 def commutator_residual(
@@ -259,15 +258,28 @@ def joint_dimension(ops: list[StabilizerOperator], n: int) -> int:
     return (1 << (n - len(first))) - conflicts.bit_count()
 
 
-def uniqueness_check(h: Hypergraph, *, ops: list[StabilizerOperator] | None = None) -> bool:
-    """Exact certificate that the built state spans the joint +1 eigenspace of
-    the correlation operators: joint_dimension is 1 and every operator fixes
-    the state's sign table.  ``ops`` defaults to every vertex's stabilizer.
-    """
-    s = build_state(h)
-    ops = ops if ops is not None else [stabilizer(h, i) for i in range(1, h.n + 1)]
-    fixed = all(apply_stabilizer(s, op).signs == s.signs for op in ops)
-    return fixed and joint_dimension(ops, h.n) == 1
+class Verification(NamedTuple):
+    """The exact verdicts of ``verification`` on a state and its operators."""
+
+    moved: list[int | None]  # per operator: the lowest label it moves, or None
+    witnesses: list[int | None]  # per pair, as commutation_witnesses gives them
+    dimension: int | None  # joint_dimension, if every operator fixes the state
+
+
+def verification(s: StateVector, ops: list[StabilizerOperator]) -> Verification:
+    """Whether each operator fixes the state, each pair commutes, and the
+    state alone spans their joint +1 eigenspace (``dimension == 1``, not
+    computed when an operator moves the state, which is then not in it)."""
+    moved = [_lowest(apply_stabilizer(s, op).signs ^ s.signs) for op in ops]
+    witnesses = commutation_witnesses(ops)
+    fixed = all(label is None for label in moved)
+    return Verification(moved, witnesses, joint_dimension(ops, s.n) if fixed else None)
+
+
+def uniqueness_check(h: Hypergraph) -> bool:
+    """True iff the built state alone spans the joint +1 eigenspace of its stabilizers."""
+    ops = [stabilizer(h, i) for i in range(1, h.n + 1)]
+    return verification(build_state(h), ops).dimension == 1
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:

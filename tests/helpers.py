@@ -48,13 +48,18 @@ def brute_anf(tt: StateVector) -> tuple[set[frozenset[int]], int]:
     return monomials, constant
 
 
+def edge_sets(h: Hypergraph) -> frozenset[frozenset[int]]:
+    """The edges of a hypergraph as 1-based vertex sets."""
+    return frozenset(map(_bits.vertices_from_mask, h.masks.tolist()))
+
+
 def evaluate_anf(h: Hypergraph, constant: int, x: int) -> int:
     """The XOR-monomial form (h's edges, plus a constant bit) at one input
     label, one vertex at a time."""
     if not 0 <= x < 1 << h.n:
         raise ValueError(f"basis label {x} out of range for n={h.n}")
     acc = constant
-    for edge in h.edge_sets():
+    for edge in edge_sets(h):
         acc ^= all((x >> (v - 1)) & 1 for v in edge)
     return acc
 

@@ -58,8 +58,8 @@ def check_statesim(seed: int, graphs: int = 500) -> None:
     pool = [h for n in (1, 2, 3) for h in helpers.all_hypergraphs(n)]
     pool += [helpers.random_hypergraph(int(rng.integers(4, 11)), rng) for _ in range(graphs)]
     for h in pool:
-        assert statesim.verify_stabilized(h)
         ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
+        assert all(m is None for m in statesim.verification(statesim.build_state(h), ops).moved)
         probes = [statesim.random_state(h.n, rng) for _ in range(10)]
         for a in range(len(ops)):
             for b in range(a + 1, len(ops)):

@@ -46,8 +46,8 @@ def test_criterion_01_mixed_order_example():
     rebuilt = statesim.build_state(h)
     elapsed = time.perf_counter() - start
 
-    assert h.edge_sets() == want
-    assert extract.extract_fast(tt).edge_sets() == want
+    assert helpers.edge_sets(h) == want
+    assert helpers.edge_sets(extract.extract_fast(tt)) == want
     assert rebuilt.signs == tt.signs  # exact sign match
     _report(1, "three-edge example extracts and rebuilds", elapsed, 0.001)
 
@@ -61,7 +61,7 @@ def test_criterion_02_single_minus_example():
     report = entanglement.genuine_multipartite_geometric(tt)
     elapsed = time.perf_counter() - start
 
-    assert h.edge_sets() == frozenset({frozenset({1, 2, 3})})
+    assert helpers.edge_sets(h) == frozenset({frozenset({1, 2, 3})})
     assert extract.extract_layered(tt) == h
     assert len(report.cuts) == 3
     for _, lam in report.cuts:
@@ -85,8 +85,8 @@ def test_criterion_04_stabilization_sweep():
     graphs = list(helpers.all_hypergraphs(3))
     graphs += [helpers.random_hypergraph(10, rng) for _ in range(500)]
     for h in graphs:
-        assert statesim.verify_stabilized(h)
         ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
+        assert all(m is None for m in statesim.verification(statesim.build_state(h), ops).moved)
         probes = [statesim.random_state(h.n, rng) for _ in range(10)]
         for a in range(len(ops)):
             for b in range(a + 1, len(ops)):
@@ -154,7 +154,7 @@ def test_criterion_09_parity_and_balance_laws():
     full = frozenset({1, 2, 3})
     for bits in range(0, 256, 2):
         tt = StateVector(3, bits)
-        has_full = full in extract.extract_fast(tt).edge_sets()
+        has_full = full in helpers.edge_sets(extract.extract_fast(tt))
         assert has_full == bool(tt.weight() & 1)
         if extract.classify_balance(tt).kind == extract.BALANCED:
             assert not has_full

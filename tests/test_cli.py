@@ -108,6 +108,12 @@ def test_classify_needs_input(capsys):
     assert code == 2 and "graph file or --table" in err
 
 
+def test_classify_refuses_a_graph_and_a_table(grover_graph, mixed_table, capsys):
+    assert run_cli(["classify", grover_graph, "--table", mixed_table], capsys) == (
+        2, "", f"classify: got {grover_graph} and --table {mixed_table}; give one\n"
+    )
+
+
 def test_entangle_graph_and_table(grover_graph, tmp_path, capsys):
     code, out, _ = run_cli(["entangle", grover_graph], capsys)
     assert code == 0
@@ -252,11 +258,26 @@ def test_extract_names_the_first_edge_only_the_fast_route_has(mixed_table, monke
 
 
 def test_selftest_fails_when_an_item_fails(monkeypatch, capsys):
-    monkeypatch.setattr(statesim, "uniqueness_check", lambda h, **kw: False)
+    monkeypatch.setattr(statesim, "joint_dimension", lambda ops, n: 2)
     code, out, err = run_cli(["selftest"], capsys)
-    assert (code, err) == (1, "")
+    assert (code, err) == (
+        1, "seven-vertex: uniqueness: the joint +1 eigenspace has dimension 2\n"
+    )
     assert [line for line in out.splitlines() if line.endswith("FAIL")] == [
         "seven-vertex FAIL", "selftest FAIL"
+    ]
+
+
+def test_selftest_names_the_first_failing_check_of_each_item(monkeypatch, capsys):
+    monkeypatch.setattr(extract, "extract_fast", lambda tt: hypergraph.Hypergraph(tt.n, []))
+    code, out, err = run_cli(["selftest"], capsys)
+    assert (code, err) == (1, (
+        "grover-3 extract: the layered and fast routes differ\n"
+        "mixed-3 extract: the layered and fast routes differ\n"
+        "mixed-3 balance: 6A does not extract to e 1, e 2 3\n"
+    ))
+    assert [line for line in out.splitlines() if line.endswith("FAIL")] == [
+        "grover-3 extract FAIL", "mixed-3 extract FAIL", "mixed-3 balance FAIL", "selftest FAIL"
     ]
 
 
@@ -267,8 +288,8 @@ def test_usage_error_exits_2():
 
 
 def test_selftest_passes(capsys):
-    code, out, _ = run_cli(["selftest"], capsys)
-    assert code == 0
+    code, out, err = run_cli(["selftest"], capsys)
+    assert (code, out, err) == (0, (GOLDEN / "selftest.txt").read_text(), "")
     lines = out.splitlines()
     assert lines[-1] == "selftest PASS"
     assert all(line.endswith("PASS") for line in lines)
@@ -435,7 +456,7 @@ def test_verify_applies_each_operator_once_for_the_library_verdict(
     h = hypergraph.parse(GROVER3)
     ops = [pick(h, i) for i in range(1, 4)]
     assert applied == ops
-    unique = statesim.uniqueness_check(h, ops=ops)
+    unique = statesim.verification(statesim.build_state(h), ops).dimension == 1
     assert unique == (swap == "none")
     assert out.endswith(f"uniqueness {'pass' if unique else 'fail'}\n")
     assert code == (0 if unique else 1)

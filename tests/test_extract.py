@@ -16,15 +16,15 @@ def test_all_plus_extracts_empty_graph():
 def test_mixed_order_table_extracts_three_edges():
     tt = boolfn.truth_table_from_hex("EA", 3)
     want = frozenset({frozenset({1}), frozenset({2, 3}), frozenset({1, 2, 3})})
-    assert extract.extract_layered(tt).edge_sets() == want
-    assert extract.extract_fast(tt).edge_sets() == want
+    assert helpers.edge_sets(extract.extract_layered(tt)) == want
+    assert helpers.edge_sets(extract.extract_fast(tt)) == want
 
 
 def test_single_minus_extracts_full_edge():
     tt = boolfn.truth_table_from_hex("80", 3)
     want = frozenset({frozenset({1, 2, 3})})
-    assert extract.extract_layered(tt).edge_sets() == want
-    assert extract.extract_fast(tt).edge_sets() == want
+    assert helpers.edge_sets(extract.extract_layered(tt)) == want
+    assert helpers.edge_sets(extract.extract_fast(tt)) == want
 
 
 def test_unnormalized_table_is_rejected():
@@ -70,7 +70,7 @@ def test_classify_balance_balanced_variant():
     tt = boolfn.truth_table_from_hex("6A", 3)
     report = extract.classify_balance(tt)
     assert report == extract.BalanceReport(extract.BALANCED, False)
-    assert extract.extract_fast(tt).edge_sets() == frozenset(
+    assert helpers.edge_sets(extract.extract_fast(tt)) == frozenset(
         {frozenset({1}), frozenset({2, 3})}
     )
 
@@ -78,7 +78,7 @@ def test_classify_balance_balanced_variant():
 def test_full_edge_parity_exhaustive_n3():
     for bits in range(0, 256, 2):
         tt = StateVector(3, bits)
-        has_full = frozenset({1, 2, 3}) in extract.extract_fast(tt).edge_sets()
+        has_full = frozenset({1, 2, 3}) in helpers.edge_sets(extract.extract_fast(tt))
         assert has_full == bool(tt.weight() & 1)
         assert extract.classify_balance(tt).full_edge == has_full
 
@@ -88,7 +88,7 @@ def test_layered_erases_levels_in_order():
     # recorded edges at level 1 are exactly the original single-excitation minuses
     tt = boolfn.truth_table_from_hex("EA", 3)
     h = extract.extract_layered(tt)
-    level1 = {e for e in h.edge_sets() if len(e) == 1}
+    level1 = {e for e in helpers.edge_sets(h) if len(e) == 1}
     assert level1 == {frozenset({1})}
 
 

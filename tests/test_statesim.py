@@ -152,12 +152,23 @@ def test_apply_stabilizer_dimension_mismatch():
         statesim.apply_stabilizer(StateVector(2, 0), statesim.stabilizer(TRIANGLE, 1))
 
 
+def stabilized(h: Hypergraph) -> bool:
+    """True iff no correlation operator of h moves its built state."""
+    ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
+    return all(m is None for m in statesim.verification(statesim.build_state(h), ops).moved)
+
+
+def unique_with(h: Hypergraph, ops) -> bool:
+    """True iff h's built state alone spans the joint +1 eigenspace of ops."""
+    return statesim.verification(statesim.build_state(h), ops).dimension == 1
+
+
 def test_verify_stabilized_exhaustive_n3():
-    assert all(statesim.verify_stabilized(h) for h in helpers.all_hypergraphs(3))
+    assert all(stabilized(h) for h in helpers.all_hypergraphs(3))
 
 
 def test_verify_stabilized_seven_vertex():
-    assert statesim.verify_stabilized(SEVEN)
+    assert stabilized(SEVEN)
 
 
 def test_wrong_stabilizer_is_detected():
@@ -402,17 +413,10 @@ def test_operator_text_and_tuples_are_the_vertex_tuple_renderings(ops):
             for m in helpers.vertex_tuple_sorted(op.masks.tolist())
         ])
 
-    assert statesim.operator_texts(ops) == [text(op) for op in ops]
     for op in ops:
         assert str(op) == text(op)
         assert op.tuples == frozenset(frozenset(vertices(op, m)) for m in op.masks.tolist())
         assert StabilizerOperator.from_sets(op.n, op.i, op.tuples) == op
-
-
-def test_operator_texts_of_no_operators_and_of_mixed_sizes():
-    assert statesim.operator_texts([]) == []
-    with pytest.raises(ValueError):
-        statesim.operator_texts([StabilizerOperator(2, 1), StabilizerOperator(3, 1)])
 
 
 def test_operator_rejects_masks_out_of_range():
@@ -444,7 +448,7 @@ def test_exact_uniqueness_matches_the_per_probe_loop(case):
     n, dropped, graph_seed, probe_seed = case  # dropped: vertex left out, 0 for none
     h = helpers.random_hypergraph(n, np.random.default_rng(graph_seed))
     ops = [statesim.stabilizer(h, i) for i in range(1, n + 1) if i != dropped]
-    unique = statesim.uniqueness_check(h, ops=ops)
+    unique = unique_with(h, ops)
     assert unique == all(helpers.loop_uniqueness_verdicts(h, 20, probe_seed, ops)) == (dropped == 0)
 
 
@@ -473,6 +477,35 @@ def test_joint_dimension_is_the_dense_null_space_dimension(case):
     assert statesim.joint_dimension(ops, n) == (1 << n) - np.linalg.matrix_rank(stacked)
 
 
+@st.composite
+def verification_cases(draw):
+    """(state, ops): an operator_lists() case with a random sign state, or a
+    random graph's state with its stabilizers, possibly dropped or repeated,
+    in any order, so that the state is often fixed."""
+    if draw(st.booleans()):
+        n, ops = draw(operator_lists())
+        return StateVector(n, draw(st.integers(0, (1 << (1 << n)) - 1))), ops
+    n = draw(st.integers(1, 5))
+    h = helpers.random_hypergraph(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    own = [statesim.stabilizer(h, i) for i in range(1, n + 1)]
+    return statesim.build_state(h), draw(st.lists(st.sampled_from(own), max_size=2 * n))
+
+
+@PROPERTY
+@given(verification_cases())
+def test_verification_is_the_dense_oracle(case):
+    s, ops = case
+    report = statesim.verification(s, ops)
+    psi = helpers.amplitudes(s)
+    changed = [np.flatnonzero(helpers.stabilizer_matrix(op) @ psi != psi) for op in ops]
+    assert report.moved == [int(c[0]) if c.size else None for c in changed]
+    assert report.witnesses == statesim.commutation_witnesses(ops)
+    eye = np.eye(1 << s.n)
+    rows = [np.zeros((1, 1 << s.n))] + [helpers.stabilizer_matrix(op) - eye for op in ops]
+    null_space = (1 << s.n) - np.linalg.matrix_rank(np.vstack(rows))
+    assert report.dimension == (null_space if all(c.size == 0 for c in changed) else None)
+
+
 def test_joint_dimension_rejects_mixed_sizes():
     with pytest.raises(ValueError):
         statesim.joint_dimension([StabilizerOperator(2, 1)], 3)
@@ -485,14 +518,14 @@ X1, MINUS_X1 = StabilizerOperator(1, 1), StabilizerOperator.from_sets(1, 1, [()]
 def test_uniqueness_fails_on_an_empty_joint_space():
     # X1 and -X1 share no +1 vector; a projected probe vanishes, so no probe can tell
     assert statesim.joint_dimension([X1, MINUS_X1], 1) == 0
-    assert not statesim.uniqueness_check(ONE_VERTEX, ops=[X1, MINUS_X1])
+    assert not unique_with(ONE_VERTEX, [X1, MINUS_X1])
 
 
 def test_uniqueness_needs_the_state_in_the_joint_space():
     # |-> spans the +1 space of -X1; X1's one-dimensional +1 space misses it
     assert statesim.joint_dimension([X1], 1) == statesim.joint_dimension([MINUS_X1], 1) == 1
-    assert not statesim.uniqueness_check(ONE_VERTEX, ops=[X1])
-    assert statesim.uniqueness_check(ONE_VERTEX, ops=[MINUS_X1])
+    assert not unique_with(ONE_VERTEX, [X1])
+    assert unique_with(ONE_VERTEX, [MINUS_X1])
 
 
 @pytest.mark.parametrize("graph", [TRIANGLE, FIG4, SEVEN])
@@ -504,14 +537,14 @@ def test_uniqueness_fails_with_one_operator_dropped(graph):
     for op in kept:
         projector = projector @ (np.eye(1 << graph.n) + helpers.stabilizer_matrix(op)) / 2
     assert np.linalg.matrix_rank(projector) == 2
-    assert not statesim.uniqueness_check(graph, ops=kept)
+    assert not unique_with(graph, kept)
     assert not all(helpers.loop_uniqueness_verdicts(graph, ops=kept))
-    assert statesim.uniqueness_check(graph, ops=ops)
+    assert unique_with(graph, ops)
 
 
 def test_uniqueness_reuses_given_operators():
     ops = [statesim.stabilizer(SEVEN, i) for i in range(1, 8)]
-    assert statesim.uniqueness_check(SEVEN, ops=ops)
+    assert unique_with(SEVEN, ops)
     assert statesim.uniqueness_check(SEVEN)
 
 
