@@ -86,7 +86,8 @@ class StabilizerOperator:
     (bit v-1 = vertex v); mask 0, the empty tuple, contributes the scalar -1.
     The whole phase-gate product collapses to a single +-1 diagonal
     (``diagonal_table``), so applying the operator costs one table XOR plus
-    one label swap.
+    one label swap.  No tuple holds vertex i, so the diagonal does not
+    depend on the flip bit.
     """
 
     n: int
@@ -193,15 +194,15 @@ def commutation_witnesses(ops: list[StabilizerOperator]) -> list[int | None]:
     Exact, on sign tables.  K with flip bit f and diagonal D maps a sign
     table S to P(S ^ D, f), P = xor_permute, so both products of a pair
     permute labels by x -> x ^ a ^ b, and their output signs differ exactly
-    on P(D_a, a) ^ P(D_b, b) ^ P(D_a ^ D_b, a ^ b).  With E_a = P(D_a, a)
-    that is (E_a ^ P(E_a, b)) ^ (E_b ^ P(E_b, a)): one translated diagonal
-    per operator, and one more translate per ordered pair.
+    on P(D_a, a) ^ P(D_b, b) ^ P(D_a ^ D_b, a ^ b).  No tuple of K_a holds
+    its flip vertex, so P(D_a, a) = D_a, and that is
+    (D_a ^ P(D_a, b)) ^ (D_b ^ P(D_b, a)): one translate per ordered pair.
     """
     qubits = {op.n for op in ops}
     if len(qubits) > 1:
         raise ValueError(f"dimension mismatch: operators of n={sorted(qubits)}")
-    moved = [_bits.xor_permute(op.diagonal_table, op.flip, op.n) for op in ops]
-    change = [[e ^ _bits.xor_permute(e, op.flip, op.n) for op in ops] for e in moved]
+    diagonals = [op.diagonal_table for op in ops]
+    change = [[d ^ _bits.xor_permute(d, op.flip, op.n) for op in ops] for d in diagonals]
     witnesses = []
     for a in range(len(ops)):
         for b in range(a + 1, len(ops)):
@@ -235,45 +236,31 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def joint_dimension(ops: list[StabilizerOperator], n: int) -> int:
-    """Dimension of the joint +1 eigenspace of n-qubit operators, exactly.
-
-    K = X_f D fixes v iff v(x ^ f) = (-1)^D(x) v(x) for every label x, so a
-    joint +1 vector is fixed by its values on one label per coset of the
-    span of the flip bits.  Signs propagated from those labels along each
-    flip bit (by its first operator) are checked against every operator; a
-    coset with a conflicting label holds only 0, every other coset adds one.
-    """
-    if any(op.n != n for op in ops):
-        raise ValueError(f"dimension mismatch: operators must have n={n}")
-    first = {op.flip.bit_length() - 1: op for op in reversed(ops)}  # flip bit -> first operator
-    table = conflicts = 0
-    for b, op in first.items():  # the labels with bit b set, from those without
-        low = table & _bits.axis_clear_mask(b, n)
-        table = low | ((low << (1 << b)) ^ op.diagonal_table) & ~_bits.axis_clear_mask(b, n)
-    for op in ops:
-        conflicts |= _bits.xor_permute(table ^ op.diagonal_table, op.flip, n) ^ table
-    for b in first:  # each conflict down to its coset's label without flip bits
-        conflicts = (conflicts | conflicts >> (1 << b)) & _bits.axis_clear_mask(b, n)
-    return (1 << (n - len(first))) - conflicts.bit_count()
-
-
 class Verification(NamedTuple):
     """The exact verdicts of ``verification`` on a state and its operators."""
 
     moved: list[int | None]  # per operator: the lowest label it moves, or None
     witnesses: list[int | None]  # per pair, as commutation_witnesses gives them
-    dimension: int | None  # joint_dimension, if every operator fixes the state
+    dimension: int | None  # of the joint +1 eigenspace, if every operator fixes the state
 
 
 def verification(s: StateVector, ops: list[StabilizerOperator]) -> Verification:
     """Whether each operator fixes the state, each pair commutes, and the
     state alone spans their joint +1 eigenspace (``dimension == 1``, not
-    computed when an operator moves the state, which is then not in it)."""
+    computed when an operator moves the state, which is then not in it).
+
+    K = X_f D fixes v iff v(x ^ f) = (-1)^D(x) v(x), so a joint +1 vector is
+    fixed by its value at one label per coset of the span of the flip bits;
+    a coset holds only 0 iff some product of the operators maps a label to
+    minus itself.  A fixed sign state is nonzero at every label, so no coset
+    conflicts: the dimension is 2**n over the span's size.  K_a K_b and
+    K_b K_a, each one label swap times a diagonal, then agree on that state,
+    so every pair commutes."""
     moved = [_lowest(apply_stabilizer(s, op).signs ^ s.signs) for op in ops]
     witnesses = commutation_witnesses(ops)
     fixed = all(label is None for label in moved)
-    return Verification(moved, witnesses, joint_dimension(ops, s.n) if fixed else None)
+    dimension = 1 << (s.n - len({op.i for op in ops})) if fixed else None
+    return Verification(moved, witnesses, dimension)
 
 
 def uniqueness_check(h: Hypergraph) -> bool:

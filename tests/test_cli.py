@@ -258,7 +258,10 @@ def test_extract_names_the_first_edge_only_the_fast_route_has(mixed_table, monke
 
 
 def test_selftest_fails_when_an_item_fails(monkeypatch, capsys):
-    monkeypatch.setattr(statesim, "joint_dimension", lambda ops, n: 2)
+    real = statesim.verification
+    monkeypatch.setattr(
+        statesim, "verification", lambda s, ops: real(s, ops)._replace(dimension=2)
+    )
     code, out, err = run_cli(["selftest"], capsys)
     assert (code, err) == (
         1, "seven-vertex: uniqueness: the joint +1 eigenspace has dimension 2\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 import invariant_suite
-from hgsim import boolfn, hypergraph, statesim
+from hgsim import _bits, boolfn, hypergraph, statesim
 from hgsim.errors import FormatError
 from hgsim.hypergraph import Hypergraph
 from hgsim.statesim import StabilizerOperator, StateVector
@@ -419,6 +419,12 @@ def test_operator_text_and_tuples_are_the_vertex_tuple_renderings(ops):
         assert StabilizerOperator.from_sets(op.n, op.i, op.tuples) == op
 
 
+@PROPERTY
+@given(st.integers(1, 8).flatmap(operators))
+def test_diagonal_does_not_depend_on_the_flip_bit(op):
+    assert _bits.xor_permute(op.diagonal_table, op.flip, op.n) == op.diagonal_table
+
+
 def test_operator_rejects_masks_out_of_range():
     with pytest.raises(ValueError):
         StabilizerOperator(3, 1, {0b1000})
@@ -468,15 +474,6 @@ def operator_lists(draw):
     return n, draw(st.permutations(picked + foreign))
 
 
-@PROPERTY
-@given(operator_lists())
-def test_joint_dimension_is_the_dense_null_space_dimension(case):
-    n, ops = case
-    eye = np.eye(1 << n)
-    stacked = np.vstack([np.zeros((1, 1 << n))] + [helpers.stabilizer_matrix(op) - eye for op in ops])
-    assert statesim.joint_dimension(ops, n) == (1 << n) - np.linalg.matrix_rank(stacked)
-
-
 @st.composite
 def verification_cases(draw):
     """(state, ops): an operator_lists() case with a random sign state, or a
@@ -504,26 +501,24 @@ def test_verification_is_the_dense_oracle(case):
     rows = [np.zeros((1, 1 << s.n))] + [helpers.stabilizer_matrix(op) - eye for op in ops]
     null_space = (1 << s.n) - np.linalg.matrix_rank(np.vstack(rows))
     assert report.dimension == (null_space if all(c.size == 0 for c in changed) else None)
-
-
-def test_joint_dimension_rejects_mixed_sizes():
-    with pytest.raises(ValueError):
-        statesim.joint_dimension([StabilizerOperator(2, 1)], 3)
+    if report.dimension is not None:  # a fixed state makes every pair commute
+        assert all(w is None for w in report.witnesses)
 
 
 ONE_VERTEX = Hypergraph.from_sets(1, [{1}])
 X1, MINUS_X1 = StabilizerOperator(1, 1), StabilizerOperator.from_sets(1, 1, [()])
+MINUS = statesim.build_state(ONE_VERTEX)  # |->
 
 
 def test_uniqueness_fails_on_an_empty_joint_space():
     # X1 and -X1 share no +1 vector; a projected probe vanishes, so no probe can tell
-    assert statesim.joint_dimension([X1, MINUS_X1], 1) == 0
+    assert statesim.verification(MINUS, [X1, MINUS_X1]).dimension is None  # X1 moves |->
     assert not unique_with(ONE_VERTEX, [X1, MINUS_X1])
 
 
 def test_uniqueness_needs_the_state_in_the_joint_space():
     # |-> spans the +1 space of -X1; X1's one-dimensional +1 space misses it
-    assert statesim.joint_dimension([X1], 1) == statesim.joint_dimension([MINUS_X1], 1) == 1
+    assert statesim.verification(MINUS, [MINUS_X1]).dimension == 1
     assert not unique_with(ONE_VERTEX, [X1])
     assert unique_with(ONE_VERTEX, [MINUS_X1])
 
