@@ -19,8 +19,9 @@ one diagonal table plus one label permutation, O(2**n) regardless of how
 many tuples it carries.
 
 One routine, ``verification``, decides exactly on sign tables whether each
-operator fixes a state, each pair commutes and the state alone spans their
-joint +1 eigenspace, so ``verify`` draws no random probe.
+operator fixes a state, each pair (in ``itertools.combinations`` order)
+commutes and the state alone spans their joint +1 eigenspace, so ``verify``
+draws no random probe.
 ``stabilizer_texts`` writes every operator of a graph from one sort of its
 edges.  The complex vectors of ``random_state`` and ``commutator_residual``
 are probes that no command runs.
@@ -31,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -186,30 +188,6 @@ def apply_stabilizer(s: StateVector, op: StabilizerOperator) -> StateVector:
     return StateVector(s.n, _bits.xor_permute(s.signs ^ op.diagonal_table, op.flip, s.n))
 
 
-def commutation_witnesses(ops: list[StabilizerOperator]) -> list[int | None]:
-    """For each pair a < b of operators of one n, in the order (1, 2),
-    (1, 3), ..., (2, 3), ...: the lowest label at which K_a K_b and K_b K_a
-    differ, or None if they commute.
-
-    Exact, on sign tables.  K with flip bit f and diagonal D maps a sign
-    table S to P(S ^ D, f), P = xor_permute, so both products of a pair
-    permute labels by x -> x ^ a ^ b, and their output signs differ exactly
-    on P(D_a, a) ^ P(D_b, b) ^ P(D_a ^ D_b, a ^ b).  No tuple of K_a holds
-    its flip vertex, so P(D_a, a) = D_a, and that is
-    (D_a ^ P(D_a, b)) ^ (D_b ^ P(D_b, a)): one translate per ordered pair.
-    """
-    qubits = {op.n for op in ops}
-    if len(qubits) > 1:
-        raise ValueError(f"dimension mismatch: operators of n={sorted(qubits)}")
-    diagonals = [op.diagonal_table for op in ops]
-    change = [[d ^ _bits.xor_permute(d, op.flip, op.n) for op in ops] for d in diagonals]
-    witnesses = []
-    for a in range(len(ops)):
-        for b in range(a + 1, len(ops)):
-            witnesses.append(_lowest(change[a][b] ^ change[b][a]))
-    return witnesses
-
-
 def _lowest(table: int) -> int | None:
     """The lowest label set in a table, or None for the empty table."""
     return (table & -table).bit_length() - 1 if table else None
@@ -240,7 +218,7 @@ class Verification(NamedTuple):
     """The exact verdicts of ``verification`` on a state and its operators."""
 
     moved: list[int | None]  # per operator: the lowest label it moves, or None
-    witnesses: list[int | None]  # per pair, as commutation_witnesses gives them
+    witnesses: list[int | None]  # per pair (a, b), a < b, in itertools.combinations order
     dimension: int | None  # of the joint +1 eigenspace, if every operator fixes the state
 
 
@@ -249,18 +227,28 @@ def verification(s: StateVector, ops: list[StabilizerOperator]) -> Verification:
     state alone spans their joint +1 eigenspace (``dimension == 1``, not
     computed when an operator moves the state, which is then not in it).
 
+    K with flip bit f and diagonal D maps a sign table S to P(S ^ D, f),
+    P = xor_permute.  Its error table E = P(K(s) ^ s, f) = D ^ s ^ P(s, f)
+    is 0 iff K fixes s.  For operators K_a and K_b of flips a and b, both
+    products permute labels by x -> x ^ a ^ b, and they differ exactly where
+    D_a ^ P(D_a, b) ^ D_b ^ P(D_b, a) is set (no tuple of K_a holds its flip
+    vertex, so P(D_a, a) = D_a).  Substituting D = E ^ s ^ P(s, f) adds each
+    of s, P(s, a), P(s, b) and P(s, a ^ b) twice, so E stands for D, for any
+    state s: operators that fix the state commute.
+
     K = X_f D fixes v iff v(x ^ f) = (-1)^D(x) v(x), so a joint +1 vector is
     fixed by its value at one label per coset of the span of the flip bits;
     a coset holds only 0 iff some product of the operators maps a label to
     minus itself.  A fixed sign state is nonzero at every label, so no coset
-    conflicts: the dimension is 2**n over the span's size.  K_a K_b and
-    K_b K_a, each one label swap times a diagonal, then agree on that state,
-    so every pair commutes."""
-    moved = [_lowest(apply_stabilizer(s, op).signs ^ s.signs) for op in ops]
-    witnesses = commutation_witnesses(ops)
-    fixed = all(label is None for label in moved)
-    dimension = 1 << (s.n - len({op.i for op in ops})) if fixed else None
-    return Verification(moved, witnesses, dimension)
+    conflicts: the dimension is 2**n over the span's size."""
+    moved = [apply_stabilizer(s, op).signs ^ s.signs for op in ops]
+    errors = [(_bits.xor_permute(m, op.flip, s.n), op.flip) for m, op in zip(moved, ops)]
+    witnesses = [
+        _lowest(ea ^ _bits.xor_permute(ea, fb, s.n) ^ eb ^ _bits.xor_permute(eb, fa, s.n))
+        for (ea, fa), (eb, fb) in combinations(errors, 2)
+    ]
+    dimension = None if any(moved) else 1 << (s.n - len({op.i for op in ops}))
+    return Verification([_lowest(m) for m in moved], witnesses, dimension)
 
 
 def uniqueness_check(h: Hypergraph) -> bool:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +14,13 @@ from hypothesis import strategies as st
 import helpers
 from hgsim import boolfn, cli, entanglement, extract, hypergraph, orbits, statesim
 
+# A `python -m hgsim` child imports the package from this checkout's src,
+# installed or not: pytest's own pythonpath does not reach subprocesses.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 GROVER3 = "n 3\ne 1 2 3\n"
 MIXED3_TABLE = "n 3\nEA\n"
 
@@ -301,12 +309,14 @@ def test_selftest_passes(capsys):
 def test_build_pipes_into_extract_via_shell(grover_graph):
     build = subprocess.run(
         [sys.executable, "-m", "hgsim", "build", grover_graph],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
         check=True,
     )
     extracted = subprocess.run(
         [sys.executable, "-m", "hgsim", "extract", "-"],
+        env=CHILD_ENV,
         input=build.stdout,
         capture_output=True,
         text=True,
@@ -318,7 +328,10 @@ def test_build_pipes_into_extract_via_shell(grover_graph):
 def test_selftest_output_is_byte_identical_across_runs():
     runs = [
         subprocess.run(
-            [sys.executable, "-m", "hgsim", "selftest"], capture_output=True, check=True
+            [sys.executable, "-m", "hgsim", "selftest"],
+            env=CHILD_ENV,
+            capture_output=True,
+            check=True,
         ).stdout
         for _ in range(2)
     ]
@@ -509,7 +522,7 @@ def test_main_reuses_one_parser_and_prints_as_a_fresh_process(grover_graph, monk
 
     def fresh(argv):
         done = subprocess.run(
-            [sys.executable, "-m", "hgsim", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "hgsim", *argv], env=CHILD_ENV, capture_output=True, text=True
         )
         return done.returncode, done.stdout, done.stderr
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -161,6 +162,12 @@ def stabilized(h: Hypergraph) -> bool:
 def unique_with(h: Hypergraph, ops) -> bool:
     """True iff h's built state alone spans the joint +1 eigenspace of ops."""
     return statesim.verification(statesim.build_state(h), ops).dimension == 1
+
+
+def witnesses(n: int, ops) -> list[int | None]:
+    """The pair witnesses of ops, from verification on the all-plus state,
+    where each operator's error table is its own diagonal."""
+    return statesim.verification(StateVector(n, 0), ops).witnesses
 
 
 def test_verify_stabilized_exhaustive_n3():
@@ -340,7 +347,7 @@ def test_exact_commutation_agrees_with_probe_residual(pair, seed):
     op_a, op_b = pair
     probe = statesim.random_state(op_a.n, np.random.default_rng(seed))
     residual = statesim.commutator_residual(op_a, op_b, probe)
-    witness = statesim.commutation_witnesses([op_a, op_b])[0]
+    witness = witnesses(op_a.n, [op_a, op_b])[0]
     assert (witness is None) == (residual == 0.0)
 
 
@@ -350,7 +357,7 @@ def test_commutation_witness_is_the_first_label_where_products_differ(pair):
     op_a, op_b = pair
     ka, kb = helpers.stabilizer_matrix(op_a), helpers.stabilizer_matrix(op_b)
     differ = np.flatnonzero(np.any(ka @ kb != kb @ ka, axis=1))
-    witness = statesim.commutation_witnesses([op_a, op_b])[0]
+    witness = witnesses(op_a.n, [op_a, op_b])[0]
     if differ.size == 0:
         assert witness is None
     else:
@@ -373,29 +380,29 @@ def two_graph_operators(draw):
 @given(two_graph_operators())
 def test_commutation_witnesses_are_the_witnesses_of_each_pair(case):
     n, ops = case
-    got = statesim.commutation_witnesses(ops)
+    got = witnesses(n, ops)
     pairs = [(a, b) for a in range(len(ops)) for b in range(a + 1, len(ops))]
-    assert got == [statesim.commutation_witnesses([ops[a], ops[b]])[0] for a, b in pairs]
+    assert got == [witnesses(n, [ops[a], ops[b]])[0] for a, b in pairs]
     assert got == [helpers.loop_commutation_witness(ops[a], ops[b]) for a, b in pairs]
 
 
 def test_commutation_witnesses_of_no_operators_and_of_mixed_sizes():
-    assert statesim.commutation_witnesses([]) == []
-    assert statesim.commutation_witnesses([StabilizerOperator(2, 1)]) == []
+    assert witnesses(2, []) == []
+    assert witnesses(2, [StabilizerOperator(2, 1)]) == []
     with pytest.raises(ValueError):
-        statesim.commutation_witnesses([StabilizerOperator(2, 1), StabilizerOperator(3, 1)])
+        witnesses(2, [StabilizerOperator(2, 1), StabilizerOperator(3, 1)])
 
 
 def test_commutation_witnesses_name_a_non_commuting_pair():
     # X1 anticommutes with X2 Z1, so the two products differ at every label
     ops = [StabilizerOperator(2, 1), StabilizerOperator.from_sets(2, 2, [{1}])]
-    assert statesim.commutation_witnesses(ops) == [0]
+    assert witnesses(2, ops) == [0]
 
 
 def test_commutation_witness_rejects_mixed_sizes():
     with pytest.raises(ValueError):
-        statesim.commutation_witnesses(
-            [StabilizerOperator(2, 1, frozenset()), StabilizerOperator(3, 1, frozenset())]
+        witnesses(
+            2, [StabilizerOperator(2, 1, frozenset()), StabilizerOperator(3, 1, frozenset())]
         )
 
 
@@ -496,7 +503,12 @@ def test_verification_is_the_dense_oracle(case):
     psi = helpers.amplitudes(s)
     changed = [np.flatnonzero(helpers.stabilizer_matrix(op) @ psi != psi) for op in ops]
     assert report.moved == [int(c[0]) if c.size else None for c in changed]
-    assert report.witnesses == statesim.commutation_witnesses(ops)
+    matrices = [helpers.stabilizer_matrix(op) for op in ops]
+    differ = [
+        np.flatnonzero(np.any(ka @ kb != kb @ ka, axis=1))
+        for ka, kb in itertools.combinations(matrices, 2)
+    ]
+    assert report.witnesses == [int(d[0]) if d.size else None for d in differ]
     eye = np.eye(1 << s.n)
     rows = [np.zeros((1, 1 << s.n))] + [helpers.stabilizer_matrix(op) - eye for op in ops]
     null_space = (1 << s.n) - np.linalg.matrix_rank(np.vstack(rows))
