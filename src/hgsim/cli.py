@@ -87,14 +87,21 @@ def _load_graph(text: str) -> hypergraph.Hypergraph:
     return hypergraph.parse(text)
 
 
-def _load_table(text: str) -> boolfn.StateVector:
-    """Accept the truth-table format or a state dump."""
+def _load_state(text: str) -> boolfn.StateVector:
+    """The state of a hypergraph file, a truth table or a state dump."""
     kind = _sniff(text)
     if kind == "state dump":
         return statesim.load(text)
     if kind == "hypergraph file":
-        raise FormatError("got a hypergraph file where a truth table or a sign dump was expected")
+        return statesim.build_state(hypergraph.parse(text))
     return boolfn.from_text(text)
+
+
+def _load_table(text: str) -> boolfn.StateVector:
+    """Accept the truth-table format or a state dump."""
+    if _sniff(text) == "hypergraph file":
+        raise FormatError("got a hypergraph file where a truth table or a sign dump was expected")
+    return _load_state(text)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -126,36 +133,32 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _failures(ops: list[statesim.StabilizerOperator], report: statesim.Verification) -> list[str]:
-    """A witness line per failed check of a verification report: none iff all
-    pass.  A moved state is named by its operators, so it has no dimension."""
-    lines = []
-    for op, label in zip(ops, report.moved):
-        if label is not None:
-            lines.append(f"stabilized {op.i}: K{op.i}|H> and |H> differ at label {label}")
-    pairs = itertools.combinations(range(1, len(ops) + 1), 2)
-    for (a, b), witness in zip(pairs, report.witnesses):
-        if witness is not None:
-            lines.append(f"commutator {a} {b}: K{a}K{b} and K{b}K{a} differ at label {witness}")
-    if report.dimension not in (None, 1):
-        lines.append(f"uniqueness: the joint +1 eigenspace has dimension {report.dimension}")
-    return lines
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    h = _load_graph(_read(args.graph))
+def _verdicts(h: hypergraph.Hypergraph) -> tuple[list[str], list[str]]:
+    """verify's stdout lines for h, and a stderr witness line per failed check
+    (none iff all pass; a moved state has no dimension, its operators name it)."""
     ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
     report = statesim.verification(statesim.build_state(h), ops)
     out = [f"stabilizer {op.i} {text}" for op, text in zip(ops, statesim.stabilizer_texts(h))]
+    failures = []
     for op, label in zip(ops, report.moved):
         out.append(f"stabilized {op.i} {'pass' if label is None else 'fail'}")
+        if label is not None:
+            failures.append(f"stabilized {op.i}: K{op.i}|H> and |H> differ at label {label}")
     pairs = itertools.combinations(range(1, h.n + 1), 2)
     for (a, b), witness in zip(pairs, report.witnesses):
         # Both products are one label permutation times +-1 diagonals, so
         # ||KaKb - KbKa|| is 2 if they differ anywhere, else 0.
         out.append(f"commutator {a} {b} residual {0 if witness is None else 2}")
+        if witness is not None:
+            failures.append(f"commutator {a} {b}: K{a}K{b} and K{b}K{a} differ at label {witness}")
     out.append(f"uniqueness {'pass' if report.dimension == 1 else 'fail'}")
-    failures = _failures(ops, report)
+    if report.dimension not in (None, 1):
+        failures.append(f"uniqueness: the joint +1 eigenspace has dimension {report.dimension}")
+    return out, failures
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    out, failures = _verdicts(_load_graph(_read(args.graph)))
     sys.stderr.write("".join(line + "\n" for line in failures))
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_FAIL if failures else EXIT_OK
@@ -178,13 +181,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_entangle(args: argparse.Namespace) -> int:
-    text = _read(args.input)
-    kind = _sniff(text)
-    if kind == "hypergraph file":
-        state = statesim.build_state(hypergraph.parse(text))
-    else:
-        state = _load_table(text)
-    report = entanglement.genuine_multipartite_geometric(state)
+    report = entanglement.genuine_multipartite_geometric(_load_state(_read(args.input)))
     sys.stdout.write(report.to_text())
     return EXIT_OK
 
@@ -249,10 +246,9 @@ def _selftest_items():
 
     def seven_vertex() -> list[tuple[str, bool]]:
         h = hypergraph.parse(SEVEN_VERTEX)
-        ops = [statesim.stabilizer(h, i) for i in range(1, h.n + 1)]
-        failures = _failures(ops, statesim.verification(statesim.build_state(h), ops))
         want = statesim.StabilizerOperator.from_sets(7, 4, [{1}, {2, 3, 5}, {1, 2, 3, 5, 6, 7}])
-        return [("stabilizer 4 has other tuples", ops[3] == want)] + [(f, False) for f in failures]
+        checks = [("stabilizer 4 has other tuples", statesim.stabilizer(h, 4) == want)]
+        return checks + [(f, False) for f in _verdicts(h)[1]]
 
     def counting() -> list[tuple[str, bool]]:
         checks = [("count_states(3, 2) is not 8", hypergraph.count_states(3, 2) == 8)]

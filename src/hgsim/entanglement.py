@@ -52,21 +52,18 @@ def _grams(pm1: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return (m @ m.transpose(0, 2, 1)) / pm1.size
 
 
-def _check_hermitian(matrices: np.ndarray) -> None:
-    """Raise unless every (stacked) matrix is finite and Hermitian within tolerance."""
-    if not np.isfinite(matrices).all():
-        raise ValueError("matrix is not finite")
-    if np.max(np.abs(matrices - np.swapaxes(matrices, -1, -2).conj())) > ATOL_HERMITIAN:
-        raise ValueError("matrix is not Hermitian within tolerance")
-
-
-def lambda_max(matrix: np.ndarray) -> float:
-    """Largest eigenvalue of a Hermitian matrix."""
+def lambda_max(matrix: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue of a Hermitian matrix (a float) or of each in a stack
+    (..., m, m) (an array); raises unless each is finite and Hermitian."""
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError("expected a square matrix")
-    _check_hermitian(matrix)
-    return float(np.linalg.eigvalsh(matrix)[-1])
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix is not finite")
+    if np.max(np.abs(matrix - np.swapaxes(matrix, -1, -2).conj())) > ATOL_HERMITIAN:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    top = np.linalg.eigvalsh(matrix)[..., -1]
+    return float(top) if matrix.ndim == 2 else top
 
 
 def _cut_classes(n: int):
@@ -102,9 +99,9 @@ def genuine_multipartite_geometric(s: StateVector) -> BipartitionReport:
     """Worst-cut report; the measure is 1 - max over cuts of lambda_max.
 
     The cuts of one size go in blocks of at most _BLOCK_ENTRIES amplitudes:
-    one gather, one stacked Gram and one eigvalsh per block.  Each block's
-    matrices are those reduced_density builds, so every lambda equals
-    lambda_max(reduced_density(s, A)).
+    one gather, one stacked Gram and one lambda_max call (it takes a stack)
+    per block.  The Grams are the matrices reduced_density builds, so every
+    lambda equals lambda_max(reduced_density(s, A)).
     """
     if s.n < 2:
         raise ValueError("entanglement needs at least two qubits")
@@ -117,6 +114,5 @@ def genuine_multipartite_geometric(s: StateVector) -> BipartitionReport:
         rows, cols = _deposits(side, s.n, k)
         for lo in range(0, len(side), step):
             grams = _grams(pm1, rows[lo:lo + step], cols[lo:lo + step])
-            _check_hermitian(grams)
-            cuts += zip(side[lo:lo + step].tolist(), np.linalg.eigvalsh(grams)[:, -1].tolist())
+            cuts += zip(side[lo:lo + step].tolist(), lambda_max(grams).tolist())
     return BipartitionReport(s.n, tuple(cuts))

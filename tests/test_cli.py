@@ -130,6 +130,11 @@ def test_entangle_graph_and_table(grover_graph, tmp_path, capsys):
     table.write_text("n 3\n80\n")
     code, out2, _ = run_cli(["entangle", str(table)], capsys)
     assert code == 0 and out2 == out
+    # the sign dump that build writes for the same graph
+    code, dump, _ = run_cli(["build", grover_graph], capsys)
+    assert code == 0
+    (tmp_path / "grover3.dump").write_text(dump)
+    assert run_cli(["entangle", str(tmp_path / "grover3.dump")], capsys) == (0, out, "")
 
 
 def test_lowercase_hex_table_starting_with_e_digit(tmp_path, capsys):

@@ -100,6 +100,38 @@ def test_lambda_max_rejects_infinite_off_diagonal():
         entanglement.lambda_max(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
 
+def stacked_densities() -> np.ndarray:
+    """A (2, 3, 8, 8) stack: the reduced densities of six 3-vertex cuts of a
+    random 7-qubit state."""
+    s = helpers.random_table(7, np.random.default_rng(7), normalized=True)
+    sides = [{1, 2, 3}, {1, 4, 7}, {2, 5, 6}, {3, 4, 5}, {1, 6, 7}, {4, 5, 6}]
+    return np.array([entanglement.reduced_density(s, a) for a in sides]).reshape(2, 3, 8, 8)
+
+
+def test_lambda_max_of_a_stack_equals_each_2d_call_bit_for_bit():
+    stack = stacked_densities()
+    top = entanglement.lambda_max(stack)
+    assert top.shape == (2, 3)
+    assert top.tolist() == [[entanglement.lambda_max(m) for m in row] for row in stack]
+
+
+@pytest.mark.parametrize("index", [(0, 0), (1, 2), (0, 2)])
+@pytest.mark.parametrize(
+    "bad, message", [(np.nan, "not finite"), (np.inf, "not finite"), (1.0, "not Hermitian")]
+)
+def test_lambda_max_checks_every_matrix_of_a_stack(index, bad, message):
+    stack = stacked_densities()
+    stack[index][0, -1] = bad
+    with pytest.raises(ValueError, match=message):
+        entanglement.lambda_max(stack)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 4, 3)])
+def test_lambda_max_needs_square_matrices(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        entanglement.lambda_max(np.zeros(shape))
+
+
 @pytest.mark.parametrize(
     "bad, message", [(np.nan, "not finite"), (np.inf, "not finite"), (1.0, "not Hermitian")]
 )

@@ -399,13 +399,6 @@ def test_commutation_witnesses_name_a_non_commuting_pair():
     assert witnesses(2, ops) == [0]
 
 
-def test_commutation_witness_rejects_mixed_sizes():
-    with pytest.raises(ValueError):
-        witnesses(
-            2, [StabilizerOperator(2, 1, frozenset()), StabilizerOperator(3, 1, frozenset())]
-        )
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, hypergraph.MAX_VERTICES).flatmap(
     lambda n: st.lists(operators(n, max_tuples=40), min_size=1, max_size=5)
