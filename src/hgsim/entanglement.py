@@ -17,23 +17,22 @@ from .boolfn import StateVector
 from .statesim import _signs_to_pm1
 
 MAX_QUBITS = 12
-ATOL_HERMITIAN = 1e-10
 _BLOCK_ENTRIES = 1 << 14  # amplitudes gathered per block of cuts in the sweep
 
 
 def reduced_density(s: StateVector, subsystem) -> np.ndarray:
     """Partial trace onto a vertex subset; real symmetric.
 
-    Its entries are sums of +-1/2**n terms, all exactly representable, so
-    the trace is exactly 1.0.  Row index r encodes the j-th smallest kept
-    qubit at bit j-1, matching the global label convention.
+    It is the cut's integer Gram divided by 2**n, so every entry is exact
+    and the trace is exactly 1.0.  Row index r encodes the j-th smallest
+    kept qubit at bit j-1, matching the global label convention.
     """
     mask = _bits.mask_from_vertices(subsystem, s.n)
     k = mask.bit_count()
     if not 1 <= k < s.n:
         raise ValueError("subsystem must satisfy 1 <= |A| <= n-1")
     rows, cols = _deposits([mask], s.n, k)
-    return _grams(_signs_to_pm1(s.signs, s.n), rows, cols)[0]
+    return _grams(_signs_to_pm1(s.signs, s.n), rows, cols)[0] / (1 << s.n)
 
 
 def _deposits(cuts, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -44,24 +43,22 @@ def _deposits(cuts, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grams(pm1: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The reduced density of each cut in a stack, from one gather of a
-    state's +-1 signs.  Gram matrices over the raw signs, then one
-    power-of-two division: every entry is a dyadic rational, computed
-    without rounding."""
+    """The Gram matrix of each cut in a stack over a state's +-1 signs, from
+    one gather: 2**n times the reduced density, every entry an exact integer."""
     m = np.take(pm1, rows[:, :, None] | cols[:, None, :])
-    return (m @ m.transpose(0, 2, 1)) / pm1.size
+    return m @ m.transpose(0, 2, 1)
 
 
 def lambda_max(matrix: np.ndarray) -> float | np.ndarray:
-    """Largest eigenvalue of a Hermitian matrix (a float) or of each in a stack
-    (..., m, m) (an array); raises unless each is finite and Hermitian."""
+    """Largest eigenvalue of a matrix (a float) or of each in a stack (..., m, m)
+    (an array); raises unless each has a row and is finite and exactly Hermitian."""
     matrix = np.asarray(matrix)
-    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
-        raise ValueError("expected a square matrix")
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2] or matrix.shape[-1] == 0:
+        raise ValueError(f"expected a square matrix with a row, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix is not finite")
-    if np.max(np.abs(matrix - np.swapaxes(matrix, -1, -2).conj())) > ATOL_HERMITIAN:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    if not (matrix == np.swapaxes(matrix, -1, -2).conj()).all():
+        raise ValueError("matrix is not Hermitian")
     top = np.linalg.eigvalsh(matrix)[..., -1]
     return float(top) if matrix.ndim == 2 else top
 
@@ -99,9 +96,9 @@ def genuine_multipartite_geometric(s: StateVector) -> BipartitionReport:
     """Worst-cut report; the measure is 1 - max over cuts of lambda_max.
 
     The cuts of one size go in blocks of at most _BLOCK_ENTRIES amplitudes:
-    one gather, one stacked Gram and one lambda_max call (it takes a stack)
-    per block.  The Grams are the matrices reduced_density builds, so every
-    lambda equals lambda_max(reduced_density(s, A)).
+    one gather, one stacked integer Gram and one lambda_max call (it takes a
+    stack) per block, then one division of its top eigenvalues by 2**n.  That
+    scaling is exact, so every lambda equals lambda_max(reduced_density(s, A)).
     """
     if s.n < 2:
         raise ValueError("entanglement needs at least two qubits")
@@ -114,5 +111,6 @@ def genuine_multipartite_geometric(s: StateVector) -> BipartitionReport:
         rows, cols = _deposits(side, s.n, k)
         for lo in range(0, len(side), step):
             grams = _grams(pm1, rows[lo:lo + step], cols[lo:lo + step])
-            cuts += zip(side[lo:lo + step].tolist(), lambda_max(grams).tolist())
+            top = lambda_max(grams) / (1 << s.n)
+            cuts += zip(side[lo:lo + step].tolist(), top.tolist())
     return BipartitionReport(s.n, tuple(cuts))

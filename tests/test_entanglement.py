@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -83,11 +85,31 @@ def test_lambda_max_values():
     assert entanglement.lambda_max(m) == pytest.approx(0.75, abs=1e-10)
     v = np.array([1.0, 2.0, 2.0]) / 3.0
     assert entanglement.lambda_max(np.outer(v, v)) == pytest.approx(1.0, abs=1e-10)
+    assert entanglement.lambda_max(np.array([[1, 1j], [-1j, 1]])) == 2.0  # exactly Hermitian
 
 
 def test_lambda_max_rejects_non_hermitian():
     with pytest.raises(ValueError):
         entanglement.lambda_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_lambda_max_rejects_a_one_ulp_asymmetry():
+    # the check is exact: no tolerance forgives the last bit
+    m = np.array([[1.0, 0.5], [np.nextafter(0.5, 1.0), 1.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        entanglement.lambda_max(m)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_lambda_max_rejects_a_matrix_with_no_rows(shape):
+    with pytest.raises(ValueError, match=re.escape(f"with a row, got shape {shape}")):
+        entanglement.lambda_max(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 3, 3)])
+def test_lambda_max_of_an_empty_stack_is_empty(shape):
+    top = entanglement.lambda_max(np.zeros(shape))
+    assert isinstance(top, np.ndarray) and top.shape == shape[:-2]
 
 
 def test_lambda_max_rejects_nan_diagonal():
@@ -149,9 +171,10 @@ def test_sweep_checks_each_block_like_lambda_max(bad, message, monkeypatch):
         entanglement.genuine_multipartite_geometric(statesim.build_state(GROVER3))
 
 
-@pytest.mark.parametrize("n", [9, 10, 11, 12])
+@pytest.mark.parametrize("n", range(2, 13))
 def test_sweep_equals_reduced_density_across_blocks(n):
-    # from n = 9 on a size class spans several blocks of cuts
+    # from n = 9 on a size class spans several blocks of cuts; at every n the
+    # sweep's one division of each top eigenvalue by 2**n must be bit exact
     s = helpers.random_table(n, np.random.default_rng(n), normalized=True)
     report = entanglement.genuine_multipartite_geometric(s)
     assert [mask for mask, _ in report.cuts] == helpers.loop_bipartition_masks(n)
