@@ -90,18 +90,22 @@ def _load_graph(text: str) -> hypergraph.Hypergraph:
 def _load_state(text: str) -> boolfn.StateVector:
     """The state of a hypergraph file, a truth table or a state dump."""
     kind = _sniff(text)
-    if kind == "state dump":
-        return statesim.load(text)
     if kind == "hypergraph file":
         return statesim.build_state(hypergraph.parse(text))
-    return boolfn.from_text(text)
+    return _load_sniffed_table(text, kind)
 
 
 def _load_table(text: str) -> boolfn.StateVector:
     """Accept the truth-table format or a state dump."""
-    if _sniff(text) == "hypergraph file":
+    kind = _sniff(text)
+    if kind == "hypergraph file":
         raise FormatError("got a hypergraph file where a truth table or a sign dump was expected")
-    return _load_state(text)
+    return _load_sniffed_table(text, kind)
+
+
+def _load_sniffed_table(text: str, kind: str) -> boolfn.StateVector:
+    """The state of a text that _sniff found to be a state dump or a truth table."""
+    return statesim.load(text) if kind == "state dump" else boolfn.from_text(text)
 
 
 def cmd_build(args: argparse.Namespace) -> int:

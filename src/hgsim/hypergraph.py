@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -120,20 +120,6 @@ def _vertex_texts(values: np.ndarray, width: int, first: int, sep: str) -> np.nd
     return np.array(texts, dtype=object)[values]
 
 
-def _keyed_texts(
-    keys: np.ndarray, size: int, texts: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """texts(keys) for a uint64 array of keys below ``size``, where
-    ``texts`` maps a uint64 key array to an object array.  It is called on
-    every key below ``size`` when there are at least that many keys, else
-    on the distinct keys present, so that a sparse n = 64 graph never
-    allocates 2**32 entries."""
-    if size <= keys.size:
-        return texts(np.arange(size, dtype=np.uint64))[keys]
-    distinct, index = np.unique(keys, return_inverse=True)
-    return texts(distinct)[index]
-
-
 def _edge_texts(masks: np.ndarray, n: int, prefixes: list[str], sep: str, tail: str) -> list[str]:
     """Two pieces per mask of a uint64 array, whose join is prefixes[k] +
     sep.join(ascending vertices) + tail, k the mask's size.
@@ -142,31 +128,60 @@ def _edge_texts(masks: np.ndarray, n: int, prefixes: list[str], sep: str, tail: 
     the mask and, above them, the count of its high bits.  The second, with
     the tail, is keyed by the high bits and, below them, a flag for empty
     low bits (then no sep goes before the first high vertex).  Each column
-    of pieces is one gather from a table built once per call.
+    of pieces is one gather (_keyed_texts): on dense input from the table of
+    every key, which a process builds once for n and the text pieces.
     """
     split = (n + 1) // 2
-    low_bits = np.uint64((1 << split) - 1)
-    lows = masks & low_bits
+    lows = masks & np.uint64((1 << split) - 1)
     highs = masks >> np.uint64(split)
-    prefix = np.array(prefixes, dtype=object)
-
-    def low_texts(keys: np.ndarray) -> np.ndarray:
-        low = keys & low_bits
-        sizes = np.bitwise_count(low) + (keys >> np.uint64(split))
-        return prefix[sizes] + _vertex_texts(low, split, 1, sep)
-
-    def high_texts(keys: np.ndarray) -> np.ndarray:
-        high = keys >> np.uint64(1)
-        lead = np.where((keys & np.uint64(1)) | (high == 0), "", sep).astype(object)
-        return lead + _vertex_texts(high, n - split, split + 1, sep) + tail
-
     low_keys = np.bitwise_count(highs).astype(np.uint64) << np.uint64(split) | lows
     high_keys = highs << np.uint64(1) | (lows == 0)
-    columns = (
-        _keyed_texts(low_keys, (n - split + 1) << split, low_texts),
-        _keyed_texts(high_keys, 2 << (n - split), high_texts),
-    )
+    pieces = (tuple(prefixes), sep, tail)
+    columns = (_keyed_texts(low_keys, n, False, pieces), _keyed_texts(high_keys, n, True, pieces))
     return np.stack(columns, axis=1).ravel().tolist()
+
+
+def _keyed_texts(
+    keys: np.ndarray, n: int, high: bool, pieces: tuple[tuple[str, ...], str, str]
+) -> np.ndarray:
+    """The pieces (see _edge_texts) of a uint64 array of the low or high
+    keys of n-vertex masks, as an object array.  With at least as many keys
+    as the side has, they are gathered from _piece_table; else the pieces of
+    the distinct keys present are built, so that a sparse n = 64 graph never
+    allocates 2**32 entries."""
+    split = (n + 1) // 2
+    size = 2 << (n - split) if high else (n - split + 1) << split
+    if size <= keys.size:
+        return _piece_table(n, high, *pieces, size)[keys]
+    distinct, index = np.unique(keys, return_inverse=True)
+    return _pieces(distinct, n, high, *pieces)[index]
+
+
+@lru_cache(maxsize=8)
+def _piece_table(
+    n: int, high: bool, prefixes: tuple[str, ...], sep: str, tail: str, size: int
+) -> np.ndarray:
+    """The pieces of every key below ``size`` of one side, as a read-only
+    object array built once per process for n and the text pieces; the
+    eight last used are kept (at n = 14 the low table has 1,024 entries,
+    the high 256)."""
+    table = _pieces(np.arange(size, dtype=np.uint64), n, high, prefixes, sep, tail)
+    table.flags.writeable = False
+    return table
+
+
+def _pieces(
+    keys: np.ndarray, n: int, high: bool, prefixes: tuple[str, ...], sep: str, tail: str
+) -> np.ndarray:
+    """The pieces (see _edge_texts) of a uint64 array of low or high keys."""
+    split = (n + 1) // 2
+    if high:
+        vertices = keys >> np.uint64(1)
+        lead = np.where((keys & np.uint64(1)) | (vertices == 0), "", sep).astype(object)
+        return lead + _vertex_texts(vertices, n - split, split + 1, sep) + tail
+    low = keys & np.uint64((1 << split) - 1)
+    sizes = np.bitwise_count(low) + (keys >> np.uint64(split))
+    return np.array(prefixes, dtype=object)[sizes] + _vertex_texts(low, split, 1, sep)
 
 
 # Bit i of byte b set iff bit 7 - i of _REVERSED_BYTE[b] is.
@@ -200,7 +215,7 @@ def parse(text: str) -> Hypergraph:
 
 
 _PLAIN_HEADER = re.compile(r"n ([1-9][0-9]?)\n")
-_BLOCK_BYTES = 1 << 14  # the byte-level pass reads line-aligned blocks of about this size
+_BLOCK_BYTES = 1 << 16  # the byte-level pass reads line-aligned blocks of about this size
 
 
 def _parse_plain(text: str) -> Hypergraph | None:

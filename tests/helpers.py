@@ -205,6 +205,13 @@ def connected_two_uniform(n: int):
             yield Hypergraph.from_sets(n, edges)
 
 
+def loop_dump(n: int, signs: int) -> str:
+    """statesim.dump, one line per label."""
+    lines = [f"n {n} backend sign"]
+    lines.extend(f"{x} {'-' if (signs >> x) & 1 else '+'}" for x in range(1 << n))
+    return "\n".join(lines) + "\n"
+
+
 def loop_set_bits(table: int) -> list[int]:
     """Set-bit positions by peeling the lowest set bit of a Python integer."""
     out = []

@@ -129,18 +129,12 @@ def test_parse_reports_the_first_bad_edge_line(case):
         assert str(err.value) == expected
 
 
-def _loop_dump(n: int, signs: int) -> str:
-    lines = [f"n {n} backend sign"]
-    lines.extend(f"{x} {'-' if (signs >> x) & 1 else '+'}" for x in range(1 << n))
-    return "\n".join(lines) + "\n"
-
-
 @PROPERTY
 @given(tables())
 def test_load_inverts_dump(case):
     n, signs = case
     text = statesim.dump(statesim.StateVector(n, signs))
-    assert text == _loop_dump(n, signs)
+    assert text == helpers.loop_dump(n, signs)
     back = statesim.load(text)
     assert back.n == n and back.signs == signs
 
@@ -526,6 +520,33 @@ def test_edge_texts_equal_the_half_table_loop(n, kind, form):
         assert list(map("".join, zip(pieces[::2], pieces[1::2]))) == want
     if form == "gates":
         assert "".join(hypergraph._edge_texts(masks[:1], n, prefixes, sep, tail)) == " C0Z()"
+
+
+@pytest.mark.parametrize("n", [3, 14, 3])
+def test_edge_text_tables_are_kept_apart_by_their_pieces(n):
+    """Pieces that differ only in the prefixes, the separator or the tail,
+    one after another at one n, each get their own tables."""
+    masks = _writer_masks(n, "dense", np.random.default_rng(n))
+    edge_lines = (("e ",) * (n + 1), " ", "\n")
+    gates = (tuple(f" C{k}Z(" for k in range(n + 1)), ",", ")")
+    forms = [edge_lines, gates, (edge_lines[0], ",", "\n"), (edge_lines[0], " ", ")"),
+             (("x ",) * (n + 1), " ", "\n")]
+    for prefixes, sep, tail in forms + forms:
+        pieces = hypergraph._edge_texts(masks, n, list(prefixes), sep, tail)
+        want = [
+            prefixes[m.bit_count()] + text + tail
+            for m, text in zip(masks.tolist(), helpers.loop_edge_texts(masks, n, "", sep))
+        ]
+        assert list(map("".join, zip(pieces[::2], pieces[1::2]))) == want
+
+
+def test_edge_text_tables_are_read_only():
+    # n = 3: 8 low keys (2 bits, 0..1 high bits), 4 high keys (1 bit and a flag)
+    for high, size in ((False, 8), (True, 4)):
+        table = hypergraph._piece_table(3, high, ("e ",) * 4, " ", "\n", size)
+        assert table.size == size and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = "x"
 
 
 def _edge_text(n: int, masks) -> str:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -273,6 +274,42 @@ def test_dump_load_round_trip_sign():
     assert text.startswith("n 3 backend sign\n0 +\n1 -\n")
     back = statesim.load(text)
     assert back.n == 3 and back.signs == s.signs
+
+
+def test_dump_writes_each_state_into_fresh_lines():
+    """An all-minus dump leaves no minus sign in the next dump of its n."""
+    for n in (3, 14, 3):
+        full = _bits.full_mask(n)
+        minus, plus = statesim.dump(StateVector(n, full)), statesim.dump(StateVector(n, 0))
+        assert minus == helpers.loop_dump(n, full)
+        assert plus == helpers.loop_dump(n, 0) and "-" not in plus
+
+
+def test_load_checks_each_dump_against_unchanged_lines():
+    """Dumps read byte-wise leave the lines of their n as they were: the
+    next valid dump is read byte-wise too, and a damaged one reaches the
+    line loop."""
+    for n in (3, 14, 3):
+        full = _bits.full_mask(n)
+        minus = statesim.dump(StateVector(n, full))
+        bad = minus.replace("\n1 -", "\n7 -", 1)
+        loop = mock.patch.object(statesim, "_load_lines", wraps=statesim._load_lines)
+        with loop as lines:
+            assert statesim.load(minus).signs == full
+            assert statesim.load(statesim.dump(StateVector(n, 0))).signs == 0
+            assert lines.call_count == 0
+            with pytest.raises(FormatError) as err:
+                statesim.load(bad)
+        lines.assert_called_once_with(bad)
+        assert str(err.value) == "bad sign line '7 -'"
+
+
+@pytest.mark.parametrize("n", [1, 3, 14])
+def test_sign_lines_are_read_only(n):
+    for array in statesim._sign_lines(n):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 @pytest.mark.parametrize(
