@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import re
-import string
 import sys
 from pathlib import Path
 
@@ -30,18 +29,19 @@ EXIT_USAGE = 2
 MAX_COUNT_DIGITS = 4300  # longest count printed in decimal
 
 
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
-
+# The kinds of input a command reads, as _sniff names them.
+GRAPH, TABLE, DUMP = "hypergraph file", "truth table", "state dump"
+_EXPECTED = {GRAPH: "a hypergraph file", TABLE: "a truth table", DUMP: "a sign dump"}
 
 # The nonempty lines of str.splitlines(), found one at a time.
 _NONEMPTY_LINE = re.compile(r"[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
 
 
 def _sniff(text: str) -> str:
-    """Guess whether a text is a hypergraph file, a truth table or a state dump."""
+    """Guess whether a text is a hypergraph file, a truth table or a state dump.
+
+    A table's hex line has ceil(2**n / 4) hex digits, so of the lines that
+    begin with an `e` field only a bare `e` at n <= 2 is one; no edge line is."""
     lines = []  # the first two non-blank lines are enough
     for match in _NONEMPTY_LINE.finditer(text):
         line = match[0].split("#", 1)[0].strip()
@@ -53,69 +53,47 @@ def _sniff(text: str) -> str:
         raise FormatError("empty input")
     head = lines[0].split()
     if head[:1] == ["n"] and "backend" in head:
-        return "state dump"
+        return DUMP
     if head[:1] != ["n"]:
         raise FormatError(f"unrecognized first line {lines[0]!r}")
-    if len(lines) == 1 or (lines[1].split()[0] == "e" and not _is_hex_line(head, lines[1])):
-        return "hypergraph file"
-    return "truth table"
-
-
-def _is_hex_line(head: list[str], line: str) -> bool:
-    """True iff line is the hex line of a table for the header `n <int>`: exactly
-    ceil(2**n / 4) hex digits.  Of the lines that begin with an `e` field, that
-    is only a bare `e` at n <= 2, which no edge line is."""
+    if len(lines) == 1:
+        return GRAPH
+    if lines[1] != "e":
+        return GRAPH if lines[1].split()[0] == "e" else TABLE
     try:
-        n = int(head[1]) if len(head) == 2 else 0
+        return TABLE if len(head) == 2 and int(head[1]) in (1, 2) else GRAPH
     except ValueError:
-        return False
-    return (
-        1 <= n <= boolfn.MAX_QUBITS
-        and len(line) == boolfn.hex_digits(n)
-        and all(c in string.hexdigits for c in line)
-    )
+        return GRAPH  # the parser names the bad count
 
 
-def _load_graph(text: str) -> hypergraph.Hypergraph:
-    """Accept the hypergraph format only; a state dump or a truth table is named."""
+def _load(path: str, *kinds: str) -> hypergraph.Hypergraph | boolfn.StateVector:
+    """The input at path ('-' for stdin) parsed as the kind _sniff finds, one of
+    kinds: a Hypergraph for GRAPH, the StateVector of a table or dump otherwise.
+    Another kind is refused by name.  A text no kind fits goes to the graph
+    parser, which names the fault, when GRAPH is the only kind accepted."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     try:
         kind = _sniff(text)
     except FormatError:
-        kind = "hypergraph file"  # unrecognizable: the parser names the fault
-    if kind != "hypergraph file":
-        raise FormatError(f"got a {kind} where a hypergraph file was expected")
-    return hypergraph.parse(text)
-
-
-def _load_state(text: str) -> boolfn.StateVector:
-    """The state of a hypergraph file, a truth table or a state dump."""
-    kind = _sniff(text)
-    if kind == "hypergraph file":
-        return statesim.build_state(hypergraph.parse(text))
-    return _load_sniffed_table(text, kind)
-
-
-def _load_table(text: str) -> boolfn.StateVector:
-    """Accept the truth-table format or a state dump."""
-    kind = _sniff(text)
-    if kind == "hypergraph file":
-        raise FormatError("got a hypergraph file where a truth table or a sign dump was expected")
-    return _load_sniffed_table(text, kind)
-
-
-def _load_sniffed_table(text: str, kind: str) -> boolfn.StateVector:
-    """The state of a text that _sniff found to be a state dump or a truth table."""
-    return statesim.load(text) if kind == "state dump" else boolfn.from_text(text)
+        if kinds != (GRAPH,):
+            raise
+        kind = GRAPH
+    if kind not in kinds:
+        expected = " or ".join(_EXPECTED[k] for k in kinds)
+        raise FormatError(f"got a {kind} where {expected} was expected")
+    if kind == GRAPH:
+        return hypergraph.parse(text)
+    return boolfn.from_text(text) if kind == TABLE else statesim.load(text)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    h = _load_graph(_read(args.graph))
+    h = _load(args.graph, GRAPH)
     sys.stdout.write(statesim.dump(statesim.build_state(h)))
     return EXIT_OK
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    tt = _load_table(_read(args.table))
+    tt = _load(args.table, TABLE, DUMP)
     if args.method == "layered":
         h = extract.extract_layered(tt)
     elif args.method == "fast":
@@ -162,7 +140,7 @@ def _verdicts(h: hypergraph.Hypergraph) -> tuple[list[str], list[str]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    out, failures = _verdicts(_load_graph(_read(args.graph)))
+    out, failures = _verdicts(_load(args.graph, GRAPH))
     sys.stderr.write("".join(line + "\n" for line in failures))
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_FAIL if failures else EXIT_OK
@@ -173,19 +151,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"classify: got {args.graph} and --table {args.table}; give one", file=sys.stderr)
         return EXIT_USAGE
     if args.table is not None:
-        report = extract.classify_balance(_load_table(_read(args.table)))
+        report = extract.classify_balance(_load(args.table, TABLE, DUMP))
         print(f"class {report.kind}")
         print(f"full-edge {'present' if report.full_edge else 'absent'}")
         return EXIT_OK
     if args.graph is None:
         print("classify: need a graph file or --table", file=sys.stderr)
         return EXIT_USAGE
-    print(str(hypergraph.classify_uniformity(_load_graph(_read(args.graph)))))
+    print(str(hypergraph.classify_uniformity(_load(args.graph, GRAPH))))
     return EXIT_OK
 
 
 def cmd_entangle(args: argparse.Namespace) -> int:
-    report = entanglement.genuine_multipartite_geometric(_load_state(_read(args.input)))
+    loaded = _load(args.input, GRAPH, TABLE, DUMP)
+    if isinstance(loaded, hypergraph.Hypergraph):
+        loaded = statesim.build_state(loaded)
+    report = entanglement.genuine_multipartite_geometric(loaded)
     sys.stdout.write(report.to_text())
     return EXIT_OK
 
@@ -208,7 +189,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    sys.stdout.write(hypergraph.to_dot(_load_graph(_read(args.graph))))
+    sys.stdout.write(hypergraph.to_dot(_load(args.graph, GRAPH)))
     return EXIT_OK
 
 

@@ -23,6 +23,7 @@ CHILD_ENV = {
 }
 GROVER3 = "n 3\ne 1 2 3\n"
 MIXED3_TABLE = "n 3\nEA\n"
+TABLE_EXPECTED = "got a hypergraph file where a truth table or a sign dump was expected"
 
 
 def run_cli(argv, capsys):
@@ -81,10 +82,12 @@ def test_extract_rejects_a_table_too_wide_for_its_n(tmp_path, capsys):
     )
 
 
-def test_load_table_gives_one_state_for_a_dump_and_a_table():
+def test_load_table_gives_one_state_for_a_dump_and_a_table(mixed_table, tmp_path):
     # the same function, as a sign dump and as truth-table text
-    from_dump = cli._load_table(statesim.dump(statesim.StateVector(3, 0xEA)))
-    from_table = cli._load_table(MIXED3_TABLE)
+    dump = tmp_path / "mixed3.dump"
+    dump.write_text(statesim.dump(statesim.StateVector(3, 0xEA)))
+    from_dump = cli._load(str(dump), cli.TABLE, cli.DUMP)
+    from_table = cli._load(mixed_table, cli.TABLE, cli.DUMP)
     assert from_dump is not from_table
     assert from_dump == from_table and hash(from_dump) == hash(from_table)
     assert type(from_dump) is boolfn.StateVector
@@ -235,12 +238,26 @@ def test_missing_file_exits_2(capsys):
         # complex amplitudes are never written to a dump
         ("extract", "n 1 backend complex\n0 1.0 0.0\n1 0.0 0.0\n", "unknown backend 'complex'"),
         ("extract", "n 3 backend sign\n", "expected 8 sign lines, got 0"),
+        # a text no kind fits goes to the graph parser only where a graph is all that is taken
+        ("entangle", "", "empty input"),
+        ("entangle", "x 3\n", "unrecognized first line 'x 3'"),
+        ("classify --table", "", "empty input"),
+        ("classify --table", "x 3\n", "unrecognized first line 'x 3'"),
+        ("build", "", "missing vertex-count line 'n <int>'"),
+        ("build", "x 3\n", "line 1: unknown directive 'x'"),
+        ("dot", "", "missing vertex-count line 'n <int>'"),
+        ("dot", "x 3\n", "line 1: unknown directive 'x'"),
+        # a graph where only a table or a dump is read
+        ("classify --table", GROVER3, TABLE_EXPECTED),
+        ("extract --method layered", GROVER3, TABLE_EXPECTED),
+        ("extract --method fast", GROVER3, TABLE_EXPECTED),
+        ("extract --method both", GROVER3, TABLE_EXPECTED),
     ],
 )
 def test_faulty_input_exits_2_naming_the_fault(command, text, message, tmp_path, capsys):
     path = tmp_path / "input"
     path.write_text(text)
-    assert run_cli([command, str(path)], capsys) == (2, "", f"hgsim: {message}\n")
+    assert run_cli([*command.split(), str(path)], capsys) == (2, "", f"hgsim: {message}\n")
 
 
 def test_extract_fails_when_the_two_routes_disagree(mixed_table, monkeypatch, capsys):

@@ -96,6 +96,24 @@ def test_inequivalence_report_n4_counts():
     assert report.total_violations == 0
 
 
+def test_inequivalence_report_recomputes_on_every_call(monkeypatch):
+    # `orbit --n N` prints a function of N alone, so a per-N cache of the
+    # report or of its spans would make a repeated call time a cache hit
+    calls = []
+    span = orbits._span
+
+    def counted(gens):
+        calls.append(gens.shape)
+        return span(gens)
+
+    monkeypatch.setattr(orbits, "_span", counted)
+    first = orbits.class_inequivalence_report(4)
+    on_first = len(calls)
+    second = orbits.class_inequivalence_report(4)
+    assert on_first > 0 and calls == calls[:on_first] * 2  # the same spans again
+    assert second is not first and second.to_text() == first.to_text()
+
+
 def test_inequivalence_report_rejects_other_sizes():
     for n in (min(orbits.REPORT_QUBITS) - 1, max(orbits.REPORT_QUBITS) + 1):
         with pytest.raises(ValueError):

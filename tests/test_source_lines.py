@@ -1,7 +1,9 @@
-"""No line of the package source is over 99 characters, and no cache of
-the package is keyed by a graph, a table or a state."""
+"""No line of the package source is over 99 characters, no private
+module-level name of the package goes unused, and no cache of the package is
+keyed by a graph, a table or a state."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,31 @@ def test_no_source_line_is_over_99_characters():
         if len(line) > MAX_LINE
     ]
     assert long == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """The private (`_x`, not dunder) names a module defines at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+
+
+def test_every_private_name_is_used_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    package = "\n".join(sources.values())
+    unused = [
+        f"{module}: {name}"
+        for module, source in sources.items()
+        for name in private_definitions(source)
+        if len(re.findall(rf"\b{re.escape(name)}\b", package)) < 2  # the definition is one
+    ]
+    assert unused == []
 
 
 CACHES = {"cache", "lru_cache"}
